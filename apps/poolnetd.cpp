@@ -8,9 +8,7 @@
 // docs/wire_protocol.md; SIGTERM/SIGINT drains — every admitted query is
 // answered before the process exits 0.
 #include <signal.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <iostream>
 
@@ -20,14 +18,6 @@
 #include "server/server.h"
 
 using namespace poolnet;
-
-namespace {
-
-std::atomic<int> g_stop{0};
-
-void on_signal(int) { g_stop.store(1); }
-
-}  // namespace
 
 int main(int argc, char** argv) {
   cli::ArgParser parser("poolnetd",
@@ -92,14 +82,17 @@ int main(int argc, char** argv) {
   config.max_pending_global = static_cast<std::size_t>(*pending);
   config.flush_interval_us = static_cast<std::uint64_t>(*flush_us);
 
+  // SIGTERM/SIGINT stay blocked in every thread (the server's threads
+  // inherit this mask) and stay pending until the sigwait below takes
+  // them, so a stop request that arrives at any moment is never lost.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   try {
     server::Server server(config);
-
-    struct sigaction sa{};
-    sa.sa_handler = on_signal;  // no SA_RESTART: pause() must wake
-    sigaction(SIGTERM, &sa, nullptr);
-    sigaction(SIGINT, &sa, nullptr);
-
     server.start();
     std::printf("poolnetd: %s over %zu nodes (%llu events), engine batch=%zu\n",
                 server::to_string(config.backend.system), config.backend.nodes,
@@ -110,7 +103,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 
-    while (g_stop.load() == 0) pause();
+    int signo = 0;
+    sigwait(&stop_signals, &signo);
 
     std::printf("poolnetd: draining...\n");
     std::fflush(stdout);

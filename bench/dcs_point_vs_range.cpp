@@ -29,13 +29,10 @@ int main(int argc, char** argv) {
   tb.insert_workload();
 
   // GHT gets its own network copy over the same positions, like the others.
-  net::Network ght_net(
-      [&] {
-        std::vector<Point> pts;
-        for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-        return pts;
-      }(),
-      tb.pool_network().field(), config.radio_range, config.sizes);
+  const auto pts = tb.pool_network().positions();
+  net::Network ght_net(std::vector<Point>(pts.begin(), pts.end()),
+                       tb.pool_network().field(), config.radio_range,
+                       config.sizes);
   const routing::Gpsr ght_gpsr(ght_net);
   const routing::RouteCache ght_cache(ght_gpsr, opts.route_cache);
   const routing::Router& ght_router =

@@ -144,10 +144,10 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   std::unique_ptr<ght::GhtSystem> ght_sys;
   std::unique_ptr<obs::RingTraceSink> ght_trace;
   if (want_ght) {
-    std::vector<Point> pts;
-    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
+    const auto pts = tb.pool_network().positions();
     ght_net = std::make_unique<net::Network>(
-        std::move(pts), tb.pool_network().field(), tb_config.radio_range);
+        std::vector<Point>(pts.begin(), pts.end()), tb.pool_network().field(),
+        tb_config.radio_range);
     if (config.telemetry.wants_trace()) {
       ght_trace =
           std::make_unique<obs::RingTraceSink>(config.telemetry.trace_capacity);
@@ -177,10 +177,10 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   std::unique_ptr<storage::DcsSystem> central_sys;
   std::unique_ptr<obs::RingTraceSink> central_trace;
   if (want_central) {
-    std::vector<Point> pts;
-    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
+    const auto pts = tb.pool_network().positions();
     central_net = std::make_unique<net::Network>(
-        std::move(pts), tb.pool_network().field(), tb_config.radio_range);
+        std::vector<Point>(pts.begin(), pts.end()), tb.pool_network().field(),
+        tb_config.radio_range);
     if (config.telemetry.wants_trace()) {
       central_trace =
           std::make_unique<obs::RingTraceSink>(config.telemetry.trace_capacity);

@@ -53,9 +53,10 @@ std::vector<NodeId> FaultInjector::advance(double now) {
         break;
       }
       case sim::FaultKind::Blackout:
-        for (const Node& n : world.nodes())
-          if (n.alive && distance(n.pos, a.center) <= a.radius)
-            kill_everywhere(n.id, &newly);
+        for (NodeId id = 0; id < world.size(); ++id)
+          if (world.alive(id) &&
+              distance(world.position(id), a.center) <= a.radius)
+            kill_everywhere(id, &newly);
         break;
       case sim::FaultKind::DegradeStart:
         for (Network* n : nets_) n->set_extra_loss(a.extra_loss);

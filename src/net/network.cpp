@@ -33,38 +33,32 @@ Network::Network(std::vector<Point> positions, Rect field,
     throw ConfigError("Network: loss probability must be in [0, 1)");
   if (loss_.max_attempts == 0)
     throw ConfigError("Network: max_attempts must be positive");
-  nodes_.resize(positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    nodes_[i].id = static_cast<NodeId>(i);
-    nodes_[i].pos = positions[i];
-  }
-  // Neighbor tables via the spatial index (the paper's periodic beacons).
-  // The scan itself is unsorted (cheaper); the filtered table is then
-  // sorted because are_neighbors binary-searches it.
+  const std::size_t n = positions.size();
+  nodes_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) nodes_[i].id = static_cast<NodeId>(i);
+  alive_.assign(n, 1);
+  // Neighbor tables via the spatial index (the paper's periodic beacons),
+  // packed straight into the CSR. The sorted scan keeps each table
+  // ascending, which are_neighbors' binary search relies on.
+  nb_offsets_.reserve(n + 1);
+  nb_offsets_.push_back(0);
   std::vector<std::size_t> near;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    index_.within(nodes_[i].pos, radio_range_, near, /*sorted=*/false);
-    auto& nb = nodes_[i].neighbors;
-    nb.reserve(near.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    index_.within(positions[i], radio_range_, near, /*sorted=*/true);
     for (const std::size_t j : near) {
-      if (j != i) nb.push_back(static_cast<NodeId>(j));
+      if (j != i) nb_ids_.push_back(static_cast<NodeId>(j));
     }
-    std::sort(nb.begin(), nb.end());
+    nb_offsets_.push_back(static_cast<std::uint32_t>(nb_ids_.size()));
   }
-}
-
-const Node& Network::node(NodeId id) const {
-  POOLNET_ASSERT(id < nodes_.size());
-  return nodes_[id];
-}
-
-Node& Network::node_mut(NodeId id) {
-  POOLNET_ASSERT(id < nodes_.size());
-  return nodes_[id];
+  nb_ids_.shrink_to_fit();
+  // The one bounds check that lets routing loops index the hot arrays by
+  // table ids unchecked.
+  for (const NodeId j : nb_ids_) POOLNET_ASSERT(j < n);
+  pos_ = std::move(positions);
 }
 
 bool Network::are_neighbors(NodeId a, NodeId b) const {
-  const auto& nb = node(a).neighbors;
+  const auto nb = neighbors(a);
   return std::binary_search(nb.begin(), nb.end(), b);
 }
 
@@ -74,17 +68,17 @@ NodeId Network::nearest_node(Point p) const {
 
 NodeId Network::nearest_alive_node(Point p) const {
   const NodeId n = nearest_node(p);
-  if (dead_count_ == 0 || nodes_[n].alive) return n;
+  if (dead_count_ == 0 || alive_[n]) return n;
   // Failover elections are rare; a linear scan over survivors is fine.
   NodeId best = kNoNode;
   double best_d2 = 0.0;
-  for (const Node& cand : nodes_) {
-    if (!cand.alive) continue;
-    const double dx = cand.pos.x - p.x;
-    const double dy = cand.pos.y - p.y;
+  for (NodeId cand = 0; cand < pos_.size(); ++cand) {
+    if (!alive_[cand]) continue;
+    const double dx = pos_[cand].x - p.x;
+    const double dy = pos_[cand].y - p.y;
     const double d2 = dx * dx + dy * dy;
     if (best == kNoNode || d2 < best_d2) {
-      best = cand.id;
+      best = cand;
       best_d2 = d2;
     }
   }
@@ -92,9 +86,9 @@ NodeId Network::nearest_alive_node(Point p) const {
 }
 
 void Network::kill(NodeId id) {
-  Node& n = node_mut(id);
-  if (!n.alive) return;
-  n.alive = false;
+  POOLNET_ASSERT(id < alive_.size());
+  if (!alive_[id]) return;
+  alive_[id] = 0;
   ++dead_count_;
 }
 
@@ -121,7 +115,7 @@ bool Network::is_connected() const {
     const NodeId u = stack.back();
     stack.pop_back();
     ++visited;
-    for (const NodeId v : nodes_[u].neighbors) {
+    for (const NodeId v : neighbors(u)) {
       if (!seen[v]) {
         seen[v] = 1;
         stack.push_back(v);
@@ -133,9 +127,8 @@ bool Network::is_connected() const {
 
 double Network::average_degree() const {
   if (nodes_.empty()) return 0.0;
-  std::uint64_t total = 0;
-  for (const auto& n : nodes_) total += n.neighbors.size();
-  return static_cast<double>(total) / static_cast<double>(nodes_.size());
+  return static_cast<double>(nb_ids_.size()) /
+         static_cast<double>(nodes_.size());
 }
 
 bool Network::transmit(NodeId from, NodeId to, MessageKind kind,
@@ -149,9 +142,9 @@ bool Network::transmit_hop(NodeId from, NodeId to, MessageKind kind,
   if (from == to) return true;  // local delivery, no radio use
   POOLNET_ASSERT_MSG(are_neighbors(from, to),
                      "transmit between non-neighbors");
-  Node& src = nodes_[from];
-  Node& dst = nodes_[to];
-  if (!src.alive) return false;  // a crashed radio sends nothing
+  // are_neighbors() found `to` in from's table, so both ids are in range.
+  if (!alive_[from]) return false;  // a crashed radio sends nothing
+  const bool delivered = alive_[to] != 0;
 
   // Link-layer ARQ: retransmit until the frame survives the channel (or
   // the attempt budget forces delivery). Every attempt is a message and
@@ -163,7 +156,7 @@ bool Network::transmit_hop(NodeId from, NodeId to, MessageKind kind,
           ? loss_.loss_probability
           : 1.0 - (1.0 - loss_.loss_probability) * (1.0 - extra_loss_);
   std::uint32_t attempts = 1;
-  if (!dst.alive) {
+  if (!delivered) {
     attempts = loss_.max_attempts;
   } else {
     while (attempts < loss_.max_attempts &&
@@ -173,14 +166,14 @@ bool Network::transmit_hop(NodeId from, NodeId to, MessageKind kind,
     }
   }
 
+  Node& src = nodes_[from];
   src.tx_count += attempts;
   src.retry_count += attempts - 1;
-  const double d = distance(src.pos, dst.pos);
+  const double d = distance(pos_[from], pos_[to]);
   const double tx_e = energy_.tx_cost(bits, d) * attempts;
   src.energy_spent_j += tx_e;
   traffic_.by_kind[static_cast<std::size_t>(kind)] += attempts;
   traffic_.total += attempts;
-  const bool delivered = dst.alive;
   if (trace_ != nullptr) {
     trace_->on_hop({msg_id, traffic_.total, from, to, hop_index,
                     static_cast<std::uint8_t>(kind), delivered});
@@ -191,6 +184,7 @@ bool Network::transmit_hop(NodeId from, NodeId to, MessageKind kind,
     ++traffic_.lost;
     return false;
   }
+  Node& dst = nodes_[to];
   ++dst.rx_count;
   const double rx_e = energy_.rx_cost(bits);
   dst.energy_spent_j += rx_e;
@@ -222,14 +216,7 @@ void Network::reset_traffic() { traffic_.clear(); }
 void Network::reset_all_accounting() {
   traffic_.clear();
   next_msg_id_ = 0;
-  for (auto& n : nodes_) {
-    n.tx_count = 0;
-    n.rx_count = 0;
-    n.retry_count = 0;
-    n.drop_count = 0;
-    n.stored_events = 0;
-    n.energy_spent_j = 0.0;
-  }
+  for (Node& n : nodes_) n = Node{.id = n.id};
 }
 
 }  // namespace poolnet::net

@@ -4,12 +4,19 @@
 // evaluation metric. Routing layers compute paths; every per-hop
 // transmission must be charged through transmit() / transmit_path() so the
 // ledger (TrafficTally + per-node counters + energy) stays consistent.
+//
+// Storage is split by temperature. Routing reads only the hot arrays:
+// one contiguous position array, an alive byte map, and the neighbor
+// tables in CSR form (offsets plus one packed id array, ascending per
+// node). The cold per-node ledger records (net::Node) are touched only
+// when a hop is charged. See DESIGN.md §11, "Network hot/cold layout".
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/geometry.h"
 #include "common/rng.h"
 #include "net/message.h"
@@ -34,12 +41,29 @@ class Network {
   std::size_t size() const { return nodes_.size(); }
   const Rect& field() const { return field_; }
   double radio_range() const { return radio_range_; }
-  const Node& node(NodeId id) const;
-  Node& node_mut(NodeId id);
+  const Node& node(NodeId id) const {
+    POOLNET_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
+  Node& node_mut(NodeId id) {
+    POOLNET_ASSERT(id < nodes_.size());
+    return nodes_[id];
+  }
+  /// The ledger records, indexed by id.
   const std::vector<Node>& nodes() const { return nodes_; }
-  Point position(NodeId id) const { return node(id).pos; }
-  const std::vector<NodeId>& neighbors(NodeId id) const {
-    return node(id).neighbors;
+  /// Every node's position, indexed by id.
+  std::span<const Point> positions() const { return pos_; }
+  Point position(NodeId id) const {
+    POOLNET_ASSERT(id < pos_.size());
+    return pos_[id];
+  }
+  /// Neighbor ids within radio range, ascending. Every id in a table is
+  /// < size() (asserted once at construction), so loops over a table may
+  /// index positions() and alive_map() unchecked.
+  std::span<const NodeId> neighbors(NodeId id) const {
+    POOLNET_ASSERT(id < pos_.size());
+    return {nb_ids_.data() + nb_offsets_[id],
+            nb_ids_.data() + nb_offsets_[id + 1]};
   }
   bool are_neighbors(NodeId a, NodeId b) const;
 
@@ -51,7 +75,12 @@ class Network {
   NodeId nearest_alive_node(Point p) const;
 
   // --- fault state (all nodes start alive; see net::FaultInjector) ---
-  bool alive(NodeId id) const { return node(id).alive; }
+  bool alive(NodeId id) const {
+    POOLNET_ASSERT(id < alive_.size());
+    return alive_[id] != 0;
+  }
+  /// alive() for every node, indexed by id (1 = alive).
+  std::span<const std::uint8_t> alive_map() const { return alive_; }
   std::size_t dead_count() const { return dead_count_; }
   bool has_failures() const { return dead_count_ > 0; }
 
@@ -120,6 +149,12 @@ class Network {
                     std::uint64_t bits, std::uint64_t msg_id,
                     std::uint16_t hop_index);
 
+  // Hot routing data, indexed by id.
+  std::vector<Point> pos_;
+  std::vector<std::uint8_t> alive_;
+  std::vector<std::uint32_t> nb_offsets_;  ///< size()+1 entries into nb_ids_
+  std::vector<NodeId> nb_ids_;
+  // Cold ledger records, indexed by id.
   std::vector<Node> nodes_;
   Rect field_;
   double radio_range_;

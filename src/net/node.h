@@ -2,9 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "common/geometry.h"
 
 namespace poolnet::net {
 
@@ -14,21 +11,13 @@ using NodeId = std::uint32_t;
 /// Sentinel for "no node".
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
-/// A sensor node. Position is fixed after deployment (static sensornet, as
-/// in the paper). Counters are maintained by Network::transmit_* and by the
-/// DCS systems (stored_events).
+/// A sensor node's ledger record: its id plus the counters the traffic
+/// ledger (Network::transmit_*) and the DCS systems (stored_events) keep.
+/// Position, liveness and neighbor tables are hot routing data and live in
+/// Network's flat arrays instead (position(), alive(), neighbors()). One
+/// hop updates several of these counters at once, so they share one record.
 struct Node {
   NodeId id = kNoNode;
-  Point pos;
-
-  /// False once a fault plan crashes the node: it stops forwarding,
-  /// acking, and answering; its stored events are gone with it.
-  bool alive = true;
-
-  /// Neighbor ids within radio range, sorted by id (built by Network).
-  std::vector<NodeId> neighbors;
-
-  // --- accounting ---
   std::uint64_t tx_count = 0;       ///< messages transmitted
   std::uint64_t rx_count = 0;       ///< messages received
   std::uint64_t retry_count = 0;    ///< ARQ retransmissions (attempts beyond 1)

@@ -15,9 +15,9 @@ std::atomic<std::uint64_t> g_registry_epoch{0};
 
 /// Small direct-mapped thread-local cache: registry -> this thread's
 /// shard. Keyed by (pointer, epoch) so a reused allocation address can
-/// never resurrect a dead registry's shard. Collisions just re-enter the
-/// slow path, which may create an extra shard in the registry — sums
-/// stay correct, shards are cheap.
+/// never resurrect a dead registry's shard. Two registries that share a
+/// slot evict each other; a miss then re-enters the slow path, which finds
+/// the thread's existing shard by owner instead of adding one.
 struct TlEntry {
   const void* reg = nullptr;
   std::uint64_t epoch = 0;
@@ -215,12 +215,18 @@ void MetricsRegistry::set_gauge(const std::string& name, double value) {
 MetricsRegistry::Shard* MetricsRegistry::this_thread_shard() {
   TlEntry& e = tl_shards[tl_index(this)];
   if (e.reg == this && e.epoch == epoch_) return static_cast<Shard*>(e.shard);
-  Shard* shard;
+  const std::thread::id me = std::this_thread::get_id();
+  Shard* shard = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->cells.resize(slots_, 0);
-    shard = shards_.back().get();
+    for (const auto& s : shards_)
+      if (s->owner == me) shard = s.get();
+    if (shard == nullptr) {
+      shards_.push_back(std::make_unique<Shard>());
+      shard = shards_.back().get();
+      shard->owner = me;
+      shard->cells.resize(slots_, 0);
+    }
   }
   e = TlEntry{this, epoch_, shard};
   return shard;
@@ -290,6 +296,11 @@ Snapshot MetricsRegistry::scrape() const {
   }
   snap.gauges = gauges_;
   return snap;
+}
+
+std::size_t MetricsRegistry::shard_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return shards_.size();
 }
 
 std::size_t MetricsRegistry::metric_count() const {

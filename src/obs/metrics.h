@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace poolnet::obs {
@@ -125,6 +126,9 @@ class MetricsRegistry {
 
   std::size_t metric_count() const;
 
+  /// Shards allocated so far: at most one per thread that has written.
+  std::size_t shard_count() const;
+
  private:
   friend class Counter;
   friend class Histogram;
@@ -140,6 +144,7 @@ class MetricsRegistry {
   };
 
   struct Shard {
+    std::thread::id owner;  ///< the only thread that writes `cells`
     std::vector<std::uint64_t> cells;
   };
 

@@ -40,16 +40,20 @@ void Gpsr::route_to_location_into(NodeId src, Point dest,
 
 NodeId Gpsr::first_ccw_neighbor(NodeId at, double ref_angle,
                                 NodeId skip) const {
+  // Planar ids come from the Network's tables, all < size(): the hot
+  // arrays are indexed unchecked.
+  const auto pos = net_.positions();
+  const auto alive = net_.alive_map();
   const Point p = net_.position(at);
   NodeId best = net::kNoNode;
   double best_sweep = kTwoPi + 1.0;
   for (const NodeId nb : planar_.neighbors(at)) {
-    if (!net_.alive(nb)) continue;  // dead nodes drop out of the face tour
+    if (!alive[nb]) continue;  // dead nodes drop out of the face tour
     double sweep;
     if (nb == skip) {
       sweep = kTwoPi;  // bounce back only when nothing else exists
     } else {
-      sweep = ccw_sweep(ref_angle, angle_of(p, net_.position(nb)));
+      sweep = ccw_sweep(ref_angle, angle_of(p, pos[nb]));
     }
     if (sweep < best_sweep ||
         (sweep == best_sweep && best != net::kNoNode && nb < best)) {
@@ -93,6 +97,8 @@ void Gpsr::route_impl(NodeId src, Point dest, NodeId exact_target,
   double best_seen_d2 = distance_sq(net_.position(src), dest);
 
   const std::size_t max_hops = 16 * net_.size() + 256;
+  const auto pos = net_.positions();
+  const auto alive = net_.alive_map();
 
   // Chooses the perimeter edge out of `cur`, applying GPSR's face-change
   // rule: while the candidate edge crosses the segment lp->dest strictly
@@ -145,11 +151,12 @@ void Gpsr::route_impl(NodeId src, Point dest, NodeId exact_target,
 
     if (mode == Mode::Greedy) {
       // Forward to the neighbor strictly closest to dest.
+      // Table ids are < size(), so the hot arrays are indexed unchecked.
       NodeId next = net::kNoNode;
       double next_d2 = cur_d2;
       for (const NodeId nb : net_.neighbors(cur)) {
-        if (!net_.alive(nb)) continue;  // beacons stopped: not a candidate
-        const double d2 = distance_sq(net_.position(nb), dest);
+        if (!alive[nb]) continue;  // beacons stopped: not a candidate
+        const double d2 = distance_sq(pos[nb], dest);
         if (d2 < next_d2 || (d2 == next_d2 && next != net::kNoNode && nb < next)) {
           next_d2 = d2;
           next = nb;

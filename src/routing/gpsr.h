@@ -55,9 +55,10 @@ class Gpsr final : public Router {
   void route_impl(net::NodeId src, Point dest, net::NodeId exact_target,
                   RouteResult& result) const;
 
-  /// First planar neighbor of `at` counter-clockwise from direction
-  /// `ref_angle`; `exclude_zero` skips an edge at exactly the reference
-  /// angle (used so the right-hand rule does not immediately bounce back).
+  /// First living planar neighbor of `at` counter-clockwise from direction
+  /// `ref_angle`, ties to the lower id. `skip` (the node the packet came
+  /// from, or kNoNode) ranks last, so the right-hand rule bounces straight
+  /// back only when no other edge exists.
   net::NodeId first_ccw_neighbor(net::NodeId at, double ref_angle,
                                  net::NodeId skip) const;
 

@@ -13,6 +13,7 @@
 // and yield planar graphs when node positions are in general position.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/network.h"
@@ -21,14 +22,18 @@ namespace poolnet::routing {
 
 enum class PlanarizationRule { Gabriel, RelativeNeighborhood };
 
-/// The planar subgraph: per-node adjacency (sorted by id, symmetric).
+/// The planar subgraph: per-node adjacency (sorted by id, symmetric),
+/// packed in CSR form like Network's neighbor tables.
 class PlanarGraph {
  public:
   PlanarGraph(const net::Network& network, PlanarizationRule rule);
 
-  const std::vector<net::NodeId>& neighbors(net::NodeId id) const;
+  std::span<const net::NodeId> neighbors(net::NodeId id) const {
+    POOLNET_ASSERT(id + std::size_t{1} < offsets_.size());
+    return {ids_.data() + offsets_[id], ids_.data() + offsets_[id + 1]};
+  }
   bool has_edge(net::NodeId a, net::NodeId b) const;
-  std::size_t edge_count() const;  ///< undirected edges
+  std::size_t edge_count() const { return ids_.size() / 2; }  ///< undirected
   PlanarizationRule rule() const { return rule_; }
 
   /// True when the planar subgraph is connected (it must be whenever the
@@ -36,7 +41,10 @@ class PlanarGraph {
   bool is_connected() const;
 
  private:
-  std::vector<std::vector<net::NodeId>> adj_;
+  std::size_t size() const { return offsets_.size() - 1; }
+
+  std::vector<std::uint32_t> offsets_;  ///< size()+1 entries into ids_
+  std::vector<net::NodeId> ids_;
   PlanarizationRule rule_;
 };
 

@@ -50,11 +50,10 @@ Backend::Backend(BackendConfig config) : config_(config) {
       break;
     case SystemKind::Ght:
     case SystemKind::Central: {
-      std::vector<Point> pts;
-      for (const auto& n : testbed_->pool_network().nodes())
-        pts.push_back(n.pos);
+      const auto pts = testbed_->pool_network().positions();
       extra_net_ = std::make_unique<net::Network>(
-          std::move(pts), testbed_->pool_network().field(), tb.radio_range);
+          std::vector<Point>(pts.begin(), pts.end()),
+          testbed_->pool_network().field(), tb.radio_range);
       extra_gpsr_ = std::make_unique<routing::Gpsr>(*extra_net_);
       const routing::Router* router = extra_gpsr_.get();
       if (tb.route_cache.enabled) {

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -33,6 +34,10 @@ void Client::connect(const std::string& host, std::uint16_t port) {
     throw ConfigError("Client: cannot connect to " + host + ":" +
                       std::to_string(port) + ": " + why);
   }
+  // Requests are small frames; send each at once instead of waiting for
+  // the previous one's ACK (Nagle).
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void Client::close() {

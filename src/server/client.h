@@ -40,6 +40,8 @@ class Client {
   void connect(const std::string& host, std::uint16_t port);
   void close();
   bool connected() const { return fd_ >= 0; }
+  /// The connected socket (-1 when closed), e.g. to read socket options.
+  int native_handle() const { return fd_; }
 
   /// One decoded reply frame (RESULT or ERROR).
   struct Reply {

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -132,6 +133,10 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       break;  // listener shut down
     }
+    // Replies are small frames written one per request: without NODELAY,
+    // Nagle holds a reply until the client's next request ACKs the last.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto session = std::make_shared<Session>();
     session->fd = fd;
     session->id = next_session_id_++;

@@ -68,8 +68,8 @@ void FieldRenderer::draw_field() {
   }
 
   if (options_.draw_nodes) {
-    for (const auto& node : net_.nodes())
-      svg_.circle(node.pos, options_.node_radius, kNodeColor, 0.8);
+    for (const Point p : net_.positions())
+      svg_.circle(p, options_.node_radius, kNodeColor, 0.8);
   }
 
   if (options_.draw_index_nodes) {

@@ -394,9 +394,9 @@ TEST(Failover, GhtReclaimsDeadStoreAndKeepsAnswering) {
   benchsup::Testbed tb(config);
   tb.insert_workload();
 
-  std::vector<Point> pts;
-  for (const auto& node : tb.pool_network().nodes()) pts.push_back(node.pos);
-  Network ght_net(std::move(pts), tb.pool_network().field(), 40.0);
+  const auto pts = tb.pool_network().positions();
+  Network ght_net(std::vector<Point>(pts.begin(), pts.end()),
+                  tb.pool_network().field(), 40.0);
   routing::Gpsr ght_gpsr(ght_net);
   ght::GhtSystem ght(ght_net, ght_gpsr, 3);
   for (const auto& e : tb.oracle().all()) ght.insert(e.source, e);

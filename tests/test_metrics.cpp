@@ -4,6 +4,7 @@
 // receipts the rest of the repo accounts with.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -79,6 +80,26 @@ TEST(MetricsRegistry, ShardMergeIsThreadCountInvariant) {
   const std::string serial = run(1);
   EXPECT_EQ(serial, run(4));
   EXPECT_EQ(serial, run(8));
+}
+
+// Live registries outnumber the thread-local shard cache's slots, so some
+// share a slot and evict each other on every alternating increment. Each
+// miss must find the thread's existing shard rather than add one.
+TEST(MetricsRegistry, CacheSlotCollisionsReuseTheThreadsShard) {
+  constexpr std::size_t kRegistries = 16;  // > the cache's 8 slots
+  constexpr std::uint64_t kRounds = 100000;
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> regs;
+  std::vector<obs::MetricsRegistry::Counter> counters;
+  for (std::size_t i = 0; i < kRegistries; ++i) {
+    regs.push_back(std::make_unique<obs::MetricsRegistry>());
+    counters.push_back(regs.back()->counter("ops"));
+  }
+  for (std::uint64_t round = 0; round < kRounds; ++round)
+    for (std::size_t i = 0; i < kRegistries; ++i) counters[i].add(i + 1);
+  for (std::size_t i = 0; i < kRegistries; ++i) {
+    EXPECT_EQ(counters[i].value(), kRounds * (i + 1)) << "registry " << i;
+    EXPECT_EQ(regs[i]->shard_count(), 1u) << "registry " << i;
+  }
 }
 
 TEST(Snapshot, MergeSumsEverySection) {
@@ -265,10 +286,9 @@ TEST(Conservation, GhtNodeTxMatchesReceipts) {
   benchsup::Testbed tb(config);
   tb.insert_workload();
 
-  std::vector<Point> pts;
-  for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-  net::Network net(std::move(pts), tb.pool_network().field(),
-                   config.radio_range);
+  const auto pts = tb.pool_network().positions();
+  net::Network net(std::vector<Point>(pts.begin(), pts.end()),
+                   tb.pool_network().field(), config.radio_range);
   routing::Gpsr gpsr(net);
   ght::GhtSystem ght(net, gpsr, config.dims);
   std::uint64_t expected = 0;

@@ -18,6 +18,62 @@ Network random_net(std::uint64_t seed, std::size_t n = 250) {
   return Network(std::move(pts), field, 40.0);
 }
 
+// The O(n^3) reference edge set, as ascending per-node rows: every
+// unit-disk edge of distinct positions that no third node in the whole
+// network vetoes.
+std::vector<std::vector<NodeId>> brute_force_planar(const Network& net,
+                                                    PlanarizationRule rule) {
+  std::vector<std::vector<NodeId>> rows(net.size());
+  for (NodeId u = 0; u < net.size(); ++u) {
+    for (NodeId v = 0; v < net.size(); ++v) {
+      if (v == u || !net.are_neighbors(u, v)) continue;
+      const Point pu = net.position(u), pv = net.position(v);
+      const double duv2 = distance_sq(pu, pv);
+      if (duv2 == 0.0) continue;
+      const Point mid{(pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0};
+      bool vetoed = false;
+      for (NodeId w = 0; w < net.size() && !vetoed; ++w) {
+        if (w == u || w == v) continue;
+        const Point pw = net.position(w);
+        vetoed = rule == PlanarizationRule::Gabriel
+                     ? distance_sq(pw, mid) < duv2 / 4.0
+                     : distance_sq(pu, pw) < duv2 && distance_sq(pv, pw) < duv2;
+      }
+      if (!vetoed) rows[u].push_back(v);
+    }
+  }
+  return rows;
+}
+
+TEST(Planarization, CsrMatchesBruteForceEdgeSets) {
+  for (const auto rule : {PlanarizationRule::Gabriel,
+                          PlanarizationRule::RelativeNeighborhood}) {
+    for (const std::uint64_t seed : {5u, 6u, 7u}) {
+      const auto net = random_net(seed, 200);
+      const PlanarGraph g(net, rule);
+      const auto expected = brute_force_planar(net, rule);
+      std::size_t entries = 0;
+      for (NodeId u = 0; u < net.size(); ++u) {
+        const auto nb = g.neighbors(u);
+        EXPECT_EQ(std::vector<NodeId>(nb.begin(), nb.end()), expected[u])
+            << "seed " << seed << " node " << u;
+        for (const NodeId v : nb) EXPECT_TRUE(g.has_edge(v, u));
+        entries += nb.size();
+      }
+      EXPECT_EQ(g.edge_count() * 2, entries);
+    }
+  }
+}
+
+TEST(Planarization, CoincidentNodesShareNoPlanarEdge) {
+  const Network net({{5, 5}, {5, 5}, {30, 5}}, Rect{0, 0, 40, 10}, 40.0);
+  const PlanarGraph g(net, PlanarizationRule::Gabriel);
+  EXPECT_FALSE(g.has_edge(0, 1));
+  EXPECT_EQ(g.edge_count(), 2u);  // both twins keep their edge to node 2
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(2).begin(), g.neighbors(2).end()),
+            (std::vector<NodeId>{0, 1}));
+}
+
 TEST(Planarization, GabrielSubsetOfUnitDisk) {
   const auto net = random_net(1);
   const PlanarGraph g(net, PlanarizationRule::Gabriel);

@@ -108,9 +108,9 @@ TEST(QueryEngineEquivalence, GhtMatchesSerialOnMixedWorkload) {
     tb.insert_workload();
 
     // GHT on its own network copy over the same positions, as in the CLI.
-    std::vector<Point> pts;
-    for (const auto& n : tb.pool_network().nodes()) pts.push_back(n.pos);
-    net::Network ght_net(std::move(pts), tb.pool_network().field(), 40.0);
+    const auto pts = tb.pool_network().positions();
+    net::Network ght_net(std::vector<Point>(pts.begin(), pts.end()),
+                         tb.pool_network().field(), 40.0);
     routing::Gpsr ght_gpsr(ght_net);
     ght::GhtSystem ght(ght_net, ght_gpsr, 3);
     for (const auto& e : tb.oracle().all()) ght.insert(e.source, e);

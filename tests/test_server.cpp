@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -264,6 +265,51 @@ TEST(ServerTest, StopDrainsPipelinedQueries) {
   EXPECT_EQ(answered, 10u);
   EXPECT_THROW(client.read_reply(), std::runtime_error);  // then EOF
   EXPECT_EQ(server.stats().queries_out, 10u);
+}
+
+bool nodelay_set(int fd) {
+  int on = 0;
+  socklen_t len = sizeof(on);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) == 0 &&
+         on != 0;
+}
+
+// The server's end of a loopback connection hosted in this process: the
+// socket whose local address is the client's peer and vice versa.
+int accepted_end_of(int client_fd) {
+  const auto addresses = [](int fd, sockaddr_in* local, sockaddr_in* peer) {
+    socklen_t a = sizeof(*local), b = sizeof(*peer);
+    return ::getsockname(fd, reinterpret_cast<sockaddr*>(local), &a) == 0 &&
+           ::getpeername(fd, reinterpret_cast<sockaddr*>(peer), &b) == 0 &&
+           local->sin_family == AF_INET;
+  };
+  sockaddr_in c_local{}, c_peer{};
+  if (!addresses(client_fd, &c_local, &c_peer)) return -1;
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in local{}, peer{};
+    if (fd == client_fd || !addresses(fd, &local, &peer)) continue;
+    if (local.sin_port == c_peer.sin_port &&
+        local.sin_addr.s_addr == c_peer.sin_addr.s_addr &&
+        peer.sin_port == c_local.sin_port &&
+        peer.sin_addr.s_addr == c_local.sin_addr.s_addr)
+      return fd;
+  }
+  return -1;
+}
+
+TEST(ServerTest, BothEndsOfAConnectionSetTcpNodelay) {
+  Server server(small_config());
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  EXPECT_TRUE(nodelay_set(client.native_handle()));
+  // A served query proves the server has accepted the connection.
+  (void)client.query("SELECT WHERE a0 IN [0.1, 0.6]");
+  const int served = accepted_end_of(client.native_handle());
+  ASSERT_GE(served, 0);
+  EXPECT_TRUE(nodelay_set(served));
+  client.close();
+  server.stop();
 }
 
 TEST(ServerTest, LiveMetricsSubscription) {
