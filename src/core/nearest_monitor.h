@@ -20,8 +20,7 @@
 // this module's entry point is now a first-class query class — issue a
 // KNearestQuery through DcsSystem::execute() (any system, any k). The
 // monitor remains for the CONTINUOUS semantics only; its initial resolve
-// goes through that same k-NN path, and PoolSystem::nearest_event
-// survives purely as a k = 1 forwarding shim for legacy call sites.
+// goes through that same k-NN path.
 #pragma once
 
 #include <optional>

@@ -1,10 +1,13 @@
 #include "core/pool_system.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
 
@@ -37,6 +40,7 @@ PoolSystem::PoolSystem(net::Network& network,
       router_(router),
       dims_(dims),
       config_(config),
+      legs_(network, router, dims, *this, fault_stats_),
       grid_(network, config.cell_size),
       layout_(std::move(layout)) {
   if (dims == 0 || dims > storage::kMaxDims)
@@ -149,20 +153,6 @@ net::NodeId PoolSystem::pick_delegate(net::NodeId index_node) const {
     }
   }
   return best;
-}
-
-const routing::LegOutcome& PoolSystem::send_leg(net::NodeId from,
-                                                net::NodeId to,
-                                                net::MessageKind kind,
-                                                std::uint64_t bits) {
-  routing::send_reliable_into(net_, router_, from, to, kind, bits, {},
-                              leg_scratch_);
-  fault_stats_.retries += leg_scratch_.retries;
-  if (!leg_scratch_.delivered) ++fault_stats_.failed_legs;
-  // handle_node_failure never re-enters send_leg (its repair traffic uses
-  // send_reliable directly), so iterating the scratch here is safe.
-  for (const net::NodeId d : leg_scratch_.dead_found) handle_node_failure(d);
-  return leg_scratch_;
 }
 
 void PoolSystem::absorb_dead_holders(std::size_t key) {
@@ -281,20 +271,11 @@ InsertReceipt PoolSystem::insert(net::NodeId source, const Event& event) {
   // index node (nearest the center) receives it. If delivery exposes a
   // dead index node, failover re-elects the nearest survivor and the
   // source retries once toward the new election.
-  net::NodeId target = choice.index_node;
-  bool leg_delivered = send_leg(source, target, net::MessageKind::Insert,
-                                net_.sizes().event_bits(dims_))
-                           .delivered;
-  if (!leg_delivered && net_.has_failures()) {
-    const net::NodeId reelected = grid_.index_node(choice.coord);
-    if (reelected != target && reelected != net::kNoNode) {
-      target = reelected;
-      leg_delivered = send_leg(source, target, net::MessageKind::Insert,
-                               net_.sizes().event_bits(dims_))
-                          .delivered;
-    }
-  }
-  if (!leg_delivered) {
+  const std::uint64_t ebits = net_.sizes().event_bits(dims_);
+  const net::NodeId target = legs_.send_resolved(
+      source, [&] { return grid_.index_node(choice.coord); },
+      net::MessageKind::Insert, ebits);
+  if (target == net::kNoNode) {
     // Event lost in transit (unreachable cell under heavy failure).
     ++fault_stats_.events_lost;
     InsertReceipt receipt;
@@ -310,8 +291,7 @@ InsertReceipt PoolSystem::insert(net::NodeId source, const Event& event) {
         net_.node(delegate).stored_events <
             net_.node(holder).stored_events) {
       // One-hop handoff to the delegate (Section 4.2's workload transfer).
-      if (net_.transmit(holder, delegate, net::MessageKind::Insert,
-                        net_.sizes().event_bits(dims_)))
+      if (net_.transmit(holder, delegate, net::MessageKind::Insert, ebits))
         holder = delegate;
     }
   }
@@ -332,22 +312,10 @@ InsertReceipt PoolSystem::insert(net::NodeId source, const Event& event) {
     const CellOffset mirror_off{config_.side - 1 - choice.offset.ho,
                                 config_.side - 1 - choice.offset.vo};
     const CellCoord mirror_coord = layout_.cell(mirror_pool, mirror_off);
-    net::NodeId mirror_idx = grid_.index_node(mirror_coord);
-    bool mirror_delivered =
-        send_leg(source, mirror_idx, net::MessageKind::Insert,
-                 net_.sizes().event_bits(dims_))
-            .delivered;
-    if (!mirror_delivered && net_.has_failures()) {
-      const net::NodeId reelected = grid_.index_node(mirror_coord);
-      if (reelected != mirror_idx && reelected != net::kNoNode) {
-        mirror_idx = reelected;
-        mirror_delivered = send_leg(source, mirror_idx,
-                                    net::MessageKind::Insert,
-                                    net_.sizes().event_bits(dims_))
-                               .delivered;
-      }
-    }
-    if (!mirror_delivered) continue;  // this mirror copy just isn't made
+    const net::NodeId mirror_idx = legs_.send_resolved(
+        source, [&] { return grid_.index_node(mirror_coord); },
+        net::MessageKind::Insert, ebits);
+    if (mirror_idx == net::kNoNode) continue;  // this copy just isn't made
     cells_[cell_key(mirror_pool, mirror_off)].append(event, mirror_idx,
                                                      /*is_replica=*/true);
     ++net_.node_mut(mirror_idx).stored_events;
@@ -404,119 +372,117 @@ std::size_t PoolSystem::relevant_cell_count(const RangeQuery& q) const {
   return total;
 }
 
+void PoolSystem::plan_range(const RangeQuery& q,
+                            std::vector<Visit>& plan) const {
+  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim)
+    for (const CellOffset off : relevant_cells(q, pool_dim, config_.side))
+      plan.push_back({pool_dim, off});
+}
+
+template <typename Op>
+void PoolSystem::walk(net::NodeId sink, const std::vector<Visit>& plan, Op& op,
+                      storage::ResultReceipt& receipt) {
+  const std::uint64_t qbits = net_.sizes().query_bits(dims_);
+  const auto reply = [&](net::NodeId from, net::NodeId to, std::uint64_t n) {
+    return Op::partial() ? legs_.reply_partial(from, to)
+                        : legs_.reply(from, to, n);
+  };
+  // Per pool: contacted yet, and the splitter that acked (kNoNode: the
+  // pool is unreachable for the rest of this walk).
+  std::array<bool, storage::kMaxDims> contacted{};
+  std::array<net::NodeId, storage::kMaxDims> splitter{};
+  // The pool whose replies are merging at its splitter, and their count.
+  const Visit* open = nullptr;
+  std::uint64_t pool_rows = 0;
+  const auto close_pool = [&] {
+    // The splitter packs the pool's replies into one reply to the sink.
+    if (pool_rows > 0 && reply(splitter[open->pool], sink, pool_rows))
+      op.on_leg(Leg::PoolReply, *open, legs_.route().hops());
+    pool_rows = 0;
+    op.end_pool();
+  };
+  std::vector<std::uint32_t> rows;
+
+  for (const Visit& v : plan) {
+    if (!Op::flush_per_visit()) {
+      if (open != nullptr && open->pool != v.pool) close_pool();
+      open = &v;
+    }
+    if (!op.admit(v)) continue;
+    if (!contacted[v.pool]) {
+      contacted[v.pool] = true;
+      const auto pivot_before = net_.traffic().total;
+      charge_pivot_lookup(sink, v.pool);
+      op.on_leg(Leg::Pivot, v, net_.traffic().total - pivot_before);
+      // A dead splitter is re-picked by failover; retry once toward it.
+      splitter[v.pool] = legs_.send_resolved(
+          sink, [&] { return splitter_for(v.pool, sink); }, Op::contact_kind(),
+          qbits);
+      if (splitter[v.pool] != net::kNoNode)
+        op.on_leg(Leg::Contact, v, legs_.route().hops());
+    }
+    const net::NodeId split = splitter[v.pool];
+    if (split == net::kNoNode) continue;  // pool unreachable this walk
+
+    const std::size_t key = cell_key(v.pool, v.off);
+    if (net_.has_failures()) absorb_dead_holders(key);
+    const CellCoord coord = layout_.cell(v.pool, v.off);
+    const net::NodeId idx = legs_.send_resolved(
+        split, [&] { return grid_.index_node(coord); }, Op::cell_kind(), qbits);
+    if (idx == net::kNoNode) continue;  // cell unreachable this walk
+    op.on_leg(Leg::Cell, v, legs_.route().hops());
+    ++receipt.index_nodes_visited;
+
+    const auto& cell = cells_[key];
+    rows.clear();
+    op.select(v, cell, idx, rows);
+    // Workload sharing: rows held by delegates cost the index node a poll
+    // and the delegate's reply. After a failover the delegate need not be
+    // a radio neighbor of the re-elected index node, so the poll is a
+    // routed leg (one hop between neighbors, as before failures).
+    std::unordered_map<net::NodeId, std::uint64_t> at_delegate;
+    for (const std::uint32_t row : rows) {
+      const net::NodeId holder = cell.holder_at(row);
+      if (holder != idx) ++at_delegate[holder];
+    }
+    for (const auto& [delegate, n] : at_delegate) {
+      legs_.send(idx, delegate, Op::cell_kind(), qbits);
+      reply(delegate, idx, n);
+    }
+    if (rows.empty()) continue;
+    if (reply(idx, split, rows.size()))
+      op.on_leg(Leg::CellReply, v, legs_.route().hops());
+    if (Op::flush_per_visit()) {
+      reply(split, sink, rows.size());
+    } else {
+      pool_rows += rows.size();
+    }
+  }
+  if (open != nullptr) close_pool();
+}
+
 QueryReceipt PoolSystem::query(net::NodeId sink, const RangeQuery& q) {
   if (q.dims() != dims_)
     throw ConfigError("PoolSystem: query dimensionality mismatch");
 
+  struct RangeScan : VisitOp {
+    const RangeQuery& q;
+    std::vector<Event>& out;
+    void select(const Visit&, const storage::column::ColumnStore& cell,
+                net::NodeId, std::vector<std::uint32_t>& rows) {
+      cell.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
+        out.push_back(cell.event_at(row));
+        rows.push_back(static_cast<std::uint32_t>(row));
+      });
+    }
+  };
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    // Query resolving (Algorithm 2) is pure arithmetic on the predefined
-    // layout, so the sink can already tell which pools are empty of
-    // relevant cells and skip their splitters entirely.
-    const auto cells = relevant_cells(q, pool_dim, config_.side);
-    if (cells.empty()) continue;
-    charge_pivot_lookup(sink, pool_dim);
-
-    net::NodeId splitter = splitter_for(pool_dim, sink);
-    bool splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                     net_.sizes().query_bits(dims_))
-                                .delivered;
-    if (!splitter_reached && net_.has_failures()) {
-      // The splitter died: failover re-picked it (splitter_cache_ entry
-      // was reset); retry once toward the new election.
-      const net::NodeId repicked = splitter_for(pool_dim, sink);
-      if (repicked != splitter) {
-        splitter = repicked;
-        splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                    net_.sizes().query_bits(dims_))
-                               .delivered;
-      }
-    }
-    if (!splitter_reached) continue;  // pool unreachable this query
-
-    std::uint32_t pool_matches = 0;
-    for (const CellOffset off : cells) {
-      const std::size_t key = cell_key(pool_dim, off);
-      if (net_.has_failures()) absorb_dead_holders(key);
-      net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-      bool cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                   net_.sizes().query_bits(dims_))
-                              .delivered;
-      if (!cell_reached && net_.has_failures()) {
-        const net::NodeId reelected =
-            grid_.index_node(layout_.cell(pool_dim, off));
-        if (reelected != idx && reelected != net::kNoNode) {
-          idx = reelected;
-          cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                  net_.sizes().query_bits(dims_))
-                             .delivered;
-        }
-      }
-      if (!cell_reached) continue;  // cell unreachable this query
-      ++receipt.index_nodes_visited;
-
-      // Scan the cell; with workload sharing some events sit one hop away
-      // at delegates, which must be polled and must reply through the
-      // index node.
-      std::uint32_t here = 0;
-      std::unordered_map<net::NodeId, std::uint32_t> at_delegate;
-      const auto& cell = cells_[key];
-      cell.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
-        receipt.events.push_back(cell.event_at(row));
-        const net::NodeId holder = cell.holder_at(row);
-        if (holder == idx) {
-          ++here;
-        } else {
-          ++at_delegate[holder];
-        }
-      });
-      for (const auto& [delegate, found] : at_delegate) {
-        // Forward the query one hop and bring batches back one hop.
-        net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                      sizes.query_bits(dims_));
-        const std::uint64_t batches = sizes.reply_batches(found);
-        for (std::uint64_t b = 0; b < batches; ++b) {
-          net_.transmit(delegate, idx, net::MessageKind::Reply,
-                        sizes.reply_bits(dims_, sizes.reply_payload(found)));
-        }
-        here += found;
-      }
-
-      // Cell replies travel back to the splitter along the tree.
-      if (here > 0 && idx != splitter) {
-        const std::uint64_t bits =
-            sizes.reply_bits(dims_, sizes.reply_payload(here));
-        const auto& back = send_leg(idx, splitter, net::MessageKind::Reply,
-                                    bits);
-        if (back.delivered) {
-          const std::uint64_t batches = sizes.reply_batches(here);
-          for (std::uint64_t b = 1; b < batches; ++b)
-            net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-        }
-      }
-      pool_matches += here;
-    }
-
-    // The splitter aggregates the pool's events and returns them to the
-    // sink (and would apply aggregate operators here; Section 3.2.3).
-    if (pool_matches > 0 && splitter != sink) {
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(pool_matches));
-      const auto& back = send_leg(splitter, sink, net::MessageKind::Reply,
-                                  bits);
-      if (back.delivered) {
-        const std::uint64_t batches = sizes.reply_batches(pool_matches);
-        for (std::uint64_t b = 1; b < batches; ++b)
-          net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-      }
-    }
-  }
-
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  std::vector<Visit> plan;
+  plan_range(q, plan);
+  RangeScan op{{}, q, receipt.events};
+  walk(sink, plan, op, receipt);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -524,10 +490,6 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
                                  const storage::SkylineQuery& q) {
   if (q.dims() != dims_)
     throw ConfigError("PoolSystem: skyline dimensionality mismatch");
-
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
 
   // Equation 1 gives every cell's best-possible corner without any
   // messages: events in cell (HO,VO) of pool d1 have their d1 value
@@ -563,130 +525,55 @@ QueryReceipt PoolSystem::skyline(net::NodeId sink,
               if (a.off.ho != b.off.ho) return a.off.ho < b.off.ho;
               return a.off.vo < b.off.vo;
             });
+  std::vector<Visit> plan;
+  plan.reserve(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i)
+    plan.push_back({cands[i].pool_dim, cands[i].off, i});
 
-  // Per-pool splitter contact happens lazily on the first visited cell;
-  // kNoNode after a contact attempt means the pool is unreachable.
-  std::vector<char> contacted(dims_, 0);
-  std::vector<net::NodeId> splitters(dims_, net::kNoNode);
-  std::vector<Event> collected;
+  struct LocalSkyline : VisitOp {
+    // Candidates flow back cell → splitter → sink at once: the sink needs
+    // them to prune the NEXT visit, so no pool-end merging.
+    static constexpr bool flush_per_visit() { return true; }
+    const storage::SkylineQuery& q;
+    const std::vector<Candidate>& cands;
+    std::vector<Event> collected;
 
-  for (const Candidate& c : cands) {
     // The pruning rule: a cell whose corner is dominated by an already-
     // collected point can only hold dominated events (strictness against
     // the corner carries to every event at or below it) — skip it
     // without transmitting anything.
-    if (!skyline_admits(q, collected, c.corner)) continue;
-
-    if (!contacted[c.pool_dim]) {
-      contacted[c.pool_dim] = 1;
-      charge_pivot_lookup(sink, c.pool_dim);
-      net::NodeId splitter = splitter_for(c.pool_dim, sink);
-      bool reached = send_leg(sink, splitter, net::MessageKind::Query,
-                              sizes.query_bits(dims_))
-                         .delivered;
-      if (!reached && net_.has_failures()) {
-        const net::NodeId repicked = splitter_for(c.pool_dim, sink);
-        if (repicked != splitter) {
-          splitter = repicked;
-          reached = send_leg(sink, splitter, net::MessageKind::Query,
-                             sizes.query_bits(dims_))
-                        .delivered;
-        }
-      }
-      splitters[c.pool_dim] = reached ? splitter : net::kNoNode;
+    bool admit(const Visit& v) {
+      return storage::skyline_admits(q, collected, cands[v.tag].corner);
     }
-    const net::NodeId splitter = splitters[c.pool_dim];
-    if (splitter == net::kNoNode) continue;  // pool unreachable this query
-
-    const std::size_t key = cell_key(c.pool_dim, c.off);
-    if (net_.has_failures()) absorb_dead_holders(key);
-    net::NodeId idx = grid_.index_node(layout_.cell(c.pool_dim, c.off));
-    bool cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                 sizes.query_bits(dims_))
-                            .delivered;
-    if (!cell_reached && net_.has_failures()) {
-      const net::NodeId reelected =
-          grid_.index_node(layout_.cell(c.pool_dim, c.off));
-      if (reelected != idx && reelected != net::kNoNode) {
-        idx = reelected;
-        cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                sizes.query_bits(dims_))
-                           .delivered;
-      }
-    }
-    if (!cell_reached) continue;
-    ++receipt.index_nodes_visited;
-
     // The cell reduces its residents to their LOCAL skyline before
     // replying — reply volume shrinks, correctness is untouched (an
     // event dominated within its own cell is dominated globally).
-    struct RowCand {
-      Event e;
-      net::NodeId holder;
-    };
-    std::vector<RowCand> rows;
-    const auto& cell = cells_[key];
-    for (std::size_t row = 0; row < cell.size(); ++row) {
-      if (cell.replica_at(row)) continue;
-      rows.push_back({cell.event_at(row), cell.holder_at(row)});
-    }
-    std::vector<RowCand> local;
-    std::unordered_map<net::NodeId, std::uint32_t> at_delegate;
-    for (const RowCand& r : rows) {
-      bool dominated = false;
-      for (const RowCand& other : rows)
-        if (q.dominates(other.e.values, r.e.values)) {
-          dominated = true;
-          break;
-        }
-      if (dominated) continue;
-      if (r.holder != idx) ++at_delegate[r.holder];
-      local.push_back(r);
-    }
-    for (const auto& [delegate, found] : at_delegate) {
-      // Poll the delegate one hop out; its candidates come back packed.
-      net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                    sizes.query_bits(dims_));
-      const std::uint64_t batches = sizes.reply_batches(found);
-      for (std::uint64_t b = 0; b < batches; ++b)
-        net_.transmit(delegate, idx, net::MessageKind::Reply,
-                      sizes.reply_bits(dims_, sizes.reply_payload(found)));
-    }
-
-    const std::uint32_t here = static_cast<std::uint32_t>(local.size());
-    if (here == 0) continue;
-    // Candidates flow back cell → splitter → sink immediately (the sink
-    // needs them to prune the NEXT visit, so no pool-end aggregation).
-    if (idx != splitter) {
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(here));
-      const auto& back = send_leg(idx, splitter, net::MessageKind::Reply, bits);
-      if (back.delivered) {
-        const std::uint64_t batches = sizes.reply_batches(here);
-        for (std::uint64_t b = 1; b < batches; ++b)
-          net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
+    void select(const Visit&, const storage::column::ColumnStore& cell,
+                net::NodeId, std::vector<std::uint32_t>& rows) {
+      std::vector<std::pair<Event, std::uint32_t>> residents;
+      for (std::uint32_t row = 0; row < cell.size(); ++row)
+        if (!cell.replica_at(row)) residents.push_back({cell.event_at(row), row});
+      for (auto& [e, row] : residents) {
+        bool dominated = false;
+        for (const auto& other : residents)
+          if (q.dominates(other.first.values, e.values)) {
+            dominated = true;
+            break;
+          }
+        if (dominated) continue;
+        rows.push_back(row);
+        if (storage::skyline_admits(q, collected, e.values))
+          collected.push_back(e);
       }
     }
-    if (splitter != sink) {
-      const std::uint64_t bits =
-          sizes.reply_bits(dims_, sizes.reply_payload(here));
-      const auto& back =
-          send_leg(splitter, sink, net::MessageKind::Reply, bits);
-      if (back.delivered) {
-        const std::uint64_t batches = sizes.reply_batches(here);
-        for (std::uint64_t b = 1; b < batches; ++b)
-          net_.transmit_path(back.route.path, net::MessageKind::Reply, bits);
-      }
-    }
-    for (RowCand& r : local)
-      if (skyline_admits(q, collected, r.e.values))
-        collected.push_back(std::move(r.e));
-  }
-
-  storage::skyline_filter(q, collected);
-  receipt.events = std::move(collected);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  };
+  QueryReceipt receipt;
+  const auto before = net_.traffic();
+  LocalSkyline op{{}, q, cands, {}};
+  walk(sink, plan, op, receipt);
+  storage::skyline_filter(q, op.collected);
+  receipt.events = std::move(op.collected);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -697,83 +584,48 @@ QueryReceipt PoolSystem::k_nearest(net::NodeId sink,
   if (q.initial_radius < 0.0)
     throw ConfigError("PoolSystem: k-NN initial radius must be positive");
 
+  struct LocalTopK : VisitOp {
+    const storage::KNearestQuery& q;
+    std::vector<Event>& cand;
+    std::vector<std::tuple<double, std::uint64_t, std::uint32_t>> keyed;
+    // The cell answers with its local top-k, box or not — the box only
+    // chooses WHICH cells to visit; reporting the true local optimum
+    // means a visited cell never needs re-querying when the box grows.
+    void select(const Visit&, const storage::column::ColumnStore& cell,
+                net::NodeId, std::vector<std::uint32_t>& rows) {
+      keyed.clear();
+      for (std::uint32_t row = 0; row < cell.size(); ++row)
+        if (!cell.replica_at(row))
+          keyed.emplace_back(
+              storage::squared_distance(q.target, cell.event_at(row).values),
+              cell.id_at(row), row);
+      const std::size_t n = std::min(keyed.size(), q.k);
+      std::partial_sort(keyed.begin(), keyed.begin() + n, keyed.end());
+      for (std::size_t i = 0; i < n; ++i) {
+        rows.push_back(std::get<2>(keyed[i]));
+        cand.push_back(cell.event_at(std::get<2>(keyed[i])));
+      }
+    }
+    void end_pool() { storage::knn_filter(q, cand); }  // running top-k
+  };
   QueryReceipt receipt;
   const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-
-  // (pool, cell-offset) pairs already queried; the sink can track these
-  // because resolving is pure arithmetic on the predefined layout.
-  std::vector<char> visited(cells_.size(), 0);
+  // Cells already planned; the sink can track these because resolving is
+  // pure arithmetic on the predefined layout.
+  std::vector<char> planned(cells_.size(), 0);
   std::vector<Event> cand;
+  LocalTopK op{{}, q, cand, {}};
+  std::vector<Visit> plan;
 
   double radius = q.initial_radius > 0.0 ? q.initial_radius : 0.05;
   while (true) {
     ++receipt.rounds;
-    const RangeQuery box = storage::box_around(q.target, radius);
-
-    for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-      const auto cells = relevant_cells(box, pool_dim, config_.side);
-      // Only contact the splitter when the round adds unvisited cells.
-      std::vector<CellOffset> fresh;
-      for (const CellOffset off : cells) {
-        if (!visited[cell_key(pool_dim, off)]) fresh.push_back(off);
-      }
-      if (fresh.empty()) continue;
-      charge_pivot_lookup(sink, pool_dim);
-
-      const net::NodeId splitter = splitter_for(pool_dim, sink);
-      router_.route_to_node_into(sink, splitter, route_scratch_);
-      net_.transmit_path(route_scratch_.path, net::MessageKind::Query,
-                         sizes.query_bits(dims_));
-
-      std::uint32_t pool_found = 0;
-      for (const CellOffset off : fresh) {
-        visited[cell_key(pool_dim, off)] = 1;
-        const net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-        router_.route_to_node_into(splitter, idx, route_scratch_);
-        net_.transmit_path(route_scratch_.path, net::MessageKind::SubQuery,
-                           sizes.query_bits(dims_));
-        ++receipt.index_nodes_visited;
-
-        // The cell answers with its local top-k, box or not — the box
-        // only chooses WHICH cells to visit; reporting the true local
-        // optimum means a visited cell never needs re-querying when the
-        // box later grows.
-        std::vector<Event> local;
-        const auto& cell = cells_[cell_key(pool_dim, off)];
-        for (std::size_t row = 0; row < cell.size(); ++row) {
-          if (cell.replica_at(row)) continue;
-          local.push_back(cell.event_at(row));
-        }
-        storage::knn_filter(q, local);
-        const auto found = static_cast<std::uint32_t>(local.size());
-        if (found > 0) {
-          if (idx != splitter) {
-            const std::uint64_t bits =
-                sizes.reply_bits(dims_, sizes.reply_payload(found));
-            router_.route_to_node_into(idx, splitter, route_scratch_);
-            const std::uint64_t batches = sizes.reply_batches(found);
-            for (std::uint64_t b = 0; b < batches; ++b)
-              net_.transmit_path(route_scratch_.path, net::MessageKind::Reply,
-                                 bits);
-          }
-          pool_found += found;
-          for (Event& e : local) cand.push_back(std::move(e));
-        }
-      }
-      if (pool_found > 0) {
-        storage::knn_filter(q, cand);  // sink keeps only the running top-k
-        if (splitter != sink) {
-          const std::uint64_t bits =
-              sizes.reply_bits(dims_, sizes.reply_payload(pool_found));
-          router_.route_to_node_into(splitter, sink, route_scratch_);
-          const std::uint64_t batches = sizes.reply_batches(pool_found);
-          for (std::uint64_t b = 0; b < batches; ++b)
-            net_.transmit_path(route_scratch_.path, net::MessageKind::Reply,
-                               bits);
-        }
-      }
-    }
+    plan.clear();
+    plan_range(storage::box_around(q.target, radius), plan);
+    std::erase_if(plan, [&](const Visit& v) {
+      return std::exchange(planned[cell_key(v.pool, v.off)], 1) != 0;
+    });
+    walk(sink, plan, op, receipt);
 
     // Complete when the k-th candidate lies within the proven-covered
     // radius, or the box already spans the whole value space.
@@ -786,8 +638,7 @@ QueryReceipt PoolSystem::k_nearest(net::NodeId sink,
 
   storage::knn_filter(q, cand);
   receipt.events = std::move(cand);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
@@ -808,160 +659,133 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
   const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-  const auto hops = [](const routing::RouteResult& r) -> std::uint64_t {
-    return static_cast<std::uint64_t>(r.hops());
+  const std::size_t nq = queries.size();
+
+  // The plan: per pool, the union of the members' relevant cells (Theorem
+  // 3.2 resolving is pure arithmetic, so the sink merges before sending
+  // anything) in first-seen order, each visit tagged with its askers.
+  struct Askers {
+    std::vector<std::size_t> queries;
+    std::vector<std::vector<Event>> found;  ///< per asker, scan order
   };
-  // What issuing each query alone would have charged, accumulated from
-  // the hop counts of the legs the merged walk computes (every serial
-  // leg is also a union leg, so the routes are already at hand).
-  std::uint64_t serial_cost = 0;
-
+  std::vector<Askers> askers;                     // by visit tag
+  std::vector<std::vector<CellOffset>> qcells(dims_ * nq);  // [pool*nq+qi]
+  std::vector<std::uint64_t> users(dims_, 0);     // askers per pool
+  std::unordered_map<std::size_t, std::size_t> tag_of;  // cell key → tag
+  std::vector<Visit> plan;
   for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    std::vector<std::vector<CellOffset>> qcells(queries.size());
-    std::vector<std::size_t> users;  // queries with relevant cells here
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      qcells[qi] = relevant_cells(queries[qi], pool_dim, config_.side);
-      if (!qcells[qi].empty()) users.push_back(qi);
-    }
-    if (users.empty()) continue;
-
-    {
-      // The pivot lookup is cached per (node, pool), so serial execution
-      // would charge exactly the same first-use round trip.
-      const auto t0 = net_.traffic().total;
-      charge_pivot_lookup(sink, pool_dim);
-      serial_cost += net_.traffic().total - t0;
-    }
-
-    const net::NodeId splitter = splitter_for(pool_dim, sink);
-    router_.route_to_node_into(sink, splitter, route_scratch_);
-    net_.transmit_path(route_scratch_.path, net::MessageKind::Query,
-                       sizes.query_bits(dims_));
-    serial_cost += users.size() * hops(route_scratch_);
-
-    // Union of relevant cells in first-seen order, with the member
-    // queries that asked for each cell.
-    struct Visit {
-      CellOffset off;
-      std::vector<std::size_t> members;
-    };
-    std::vector<Visit> visits;
-    std::unordered_map<std::size_t, std::size_t> visit_at;  // key → index
-    for (const std::size_t qi : users) {
-      for (const CellOffset off : qcells[qi]) {
+    for (std::size_t qi = 0; qi < nq; ++qi) {
+      auto& cells = qcells[pool_dim * nq + qi];
+      cells = relevant_cells(queries[qi], pool_dim, config_.side);
+      if (cells.empty()) continue;
+      ++users[pool_dim];
+      batch.serial_cell_visits += cells.size();
+      batch.per_query[qi].index_nodes_visited += cells.size();
+      for (const CellOffset off : cells) {
         const auto [it, fresh] =
-            visit_at.try_emplace(cell_key(pool_dim, off), visits.size());
-        if (fresh) visits.push_back({off, {}});
-        visits[it->second].members.push_back(qi);
+            tag_of.try_emplace(cell_key(pool_dim, off), askers.size());
+        if (fresh) {
+          plan.push_back({pool_dim, off, askers.size()});
+          askers.emplace_back();
+        }
+        askers[it->second].queries.push_back(qi);
+        askers[it->second].found.emplace_back();
       }
-      batch.serial_cell_visits += qcells[qi].size();
-      batch.per_query[qi].index_nodes_visited += qcells[qi].size();
     }
-    batch.unique_cell_visits += visits.size();
-    batch.index_nodes_visited += visits.size();
+  }
 
-    std::map<std::size_t, std::uint32_t> pool_matches;  // per member query
-    std::uint32_t pool_union = 0;
+  struct Union : VisitOp {
+    const std::vector<RangeQuery>& queries;
+    std::vector<Askers>& askers;
+    const std::vector<std::uint64_t>& users;
+    const net::MessageSizes& sizes;
+    std::vector<std::uint32_t> totals;        ///< this visit, per asker
+    std::vector<std::uint32_t> pool_matches;  ///< this pool, per query
+    /// What issuing each query alone would have charged, from the hop
+    /// counts of the legs the merged walk takes (every serial leg is
+    /// also a union leg, so the routes are already at hand).
+    std::uint64_t serial_cost = 0;
 
-    for (const Visit& v : visits) {
-      const std::size_t key = cell_key(pool_dim, v.off);
-      const net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, v.off));
-      router_.route_to_node_into(splitter, idx, route_scratch_);
-      net_.transmit_path(route_scratch_.path, net::MessageKind::SubQuery,
-                         sizes.query_bits(dims_));
-      serial_cost += v.members.size() * hops(route_scratch_);
-
-      // One scan of the cell serves every member: count each member's
-      // matches (split by holder, for the delegate economics) and the
-      // DISTINCT matching events that actually travel back.
-      std::uint32_t union_here = 0;
-      std::map<net::NodeId, std::uint32_t> union_at_delegate;
-      std::vector<std::uint32_t> member_total(v.members.size(), 0);
-      std::map<net::NodeId, std::vector<std::uint32_t>> member_at_delegate;
-      const auto& cell = cells_[key];
-      for (std::size_t row = 0; row < cell.size(); ++row) {
+    // One pass over the cell serves every asker: each asker's matches
+    // (split by holder, for the delegate economics) and the DISTINCT
+    // matching rows that actually travel back.
+    void select(const Visit& v, const storage::column::ColumnStore& cell,
+                net::NodeId idx, std::vector<std::uint32_t>& rows) {
+      Askers& a = askers[v.tag];
+      totals.assign(a.queries.size(), 0);
+      std::vector<std::pair<net::NodeId, std::vector<std::uint32_t>>>
+          at_delegate;
+      for (std::uint32_t row = 0; row < cell.size(); ++row) {
         if (cell.replica_at(row)) continue;
         const net::NodeId holder = cell.holder_at(row);
+        std::uint32_t* per = nullptr;
         bool any = false;
-        for (std::size_t mi = 0; mi < v.members.size(); ++mi) {
-          if (!cell.row_matches(queries[v.members[mi]], row)) continue;
+        for (std::size_t ai = 0; ai < a.queries.size(); ++ai) {
+          if (!cell.row_matches(queries[a.queries[ai]], row)) continue;
           any = true;
-          ++member_total[mi];
-          if (holder != idx) {
-            auto& per = member_at_delegate[holder];
-            if (per.empty()) per.assign(v.members.size(), 0);
-            ++per[mi];
+          ++totals[ai];
+          a.found[ai].push_back(cell.event_at(row));
+          if (holder == idx) continue;
+          if (per == nullptr) {
+            auto it = std::find_if(at_delegate.begin(), at_delegate.end(),
+                                   [&](const auto& d) { return d.first == holder; });
+            if (it == at_delegate.end())
+              it = at_delegate.insert(
+                  it, {holder, std::vector<std::uint32_t>(a.queries.size(), 0)});
+            per = it->second.data();
           }
+          ++per[ai];
         }
-        if (!any) continue;
-        if (holder == idx) {
-          ++union_here;
-        } else {
-          ++union_at_delegate[holder];
-        }
+        if (any) rows.push_back(row);
       }
-
-      std::uint32_t union_total = union_here;
-      for (const auto& [delegate, found] : union_at_delegate) {
-        // The index node polls the delegate once for all members.
-        net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                      sizes.query_bits(dims_));
-        const std::uint64_t batches = sizes.reply_batches(found);
-        for (std::uint64_t b = 0; b < batches; ++b) {
-          net_.transmit(delegate, idx, net::MessageKind::Reply,
-                        sizes.reply_bits(dims_, sizes.reply_payload(found)));
-        }
-        union_total += found;
-        // Serial: each member with matches at this delegate would poll it
-        // and pull its own reply batches, all single-hop.
-        const auto& per = member_at_delegate.at(delegate);
-        for (std::size_t mi = 0; mi < v.members.size(); ++mi) {
-          if (per[mi] > 0) serial_cost += 1 + sizes.reply_batches(per[mi]);
-        }
-      }
-
-      if (union_total > 0 && idx != splitter) {
-        router_.route_to_node_into(idx, splitter, route_scratch_);
-        const std::uint64_t batches = sizes.reply_batches(union_total);
-        for (std::uint64_t b = 0; b < batches; ++b) {
-          net_.transmit_path(
-              route_scratch_.path, net::MessageKind::Reply,
-              sizes.reply_bits(dims_, sizes.reply_payload(union_total)));
-        }
-        for (std::size_t mi = 0; mi < v.members.size(); ++mi) {
-          serial_cost +=
-              sizes.reply_batches(member_total[mi]) * hops(route_scratch_);
-        }
-      }
-      for (std::size_t mi = 0; mi < v.members.size(); ++mi)
-        pool_matches[v.members[mi]] += member_total[mi];
-      pool_union += union_total;
+      // Serial: each asker with matches at a delegate would poll it and
+      // pull its own reply batches, all single-hop.
+      for (const auto& [delegate, per] : at_delegate)
+        for (const std::uint32_t n : per)
+          if (n > 0) serial_cost += 1 + sizes.reply_batches(n);
+      for (std::size_t ai = 0; ai < a.queries.size(); ++ai)
+        pool_matches[a.queries[ai]] += totals[ai];
     }
-
-    if (pool_union > 0 && splitter != sink) {
-      router_.route_to_node_into(splitter, sink, route_scratch_);
-      const std::uint64_t batches = sizes.reply_batches(pool_union);
-      for (std::uint64_t b = 0; b < batches; ++b) {
-        net_.transmit_path(
-            route_scratch_.path, net::MessageKind::Reply,
-            sizes.reply_bits(dims_, sizes.reply_payload(pool_union)));
+    void on_leg(Leg leg, const Visit& v, std::uint64_t hops) {
+      switch (leg) {
+        case Leg::Pivot:  // cached per (node, pool): serial pays the same
+          serial_cost += hops;
+          break;
+        case Leg::Contact:
+          serial_cost += users[v.pool] * hops;
+          break;
+        case Leg::Cell:
+          serial_cost += askers[v.tag].queries.size() * hops;
+          break;
+        case Leg::CellReply:
+          for (const std::uint32_t n : totals)
+            serial_cost += sizes.reply_batches(n) * hops;
+          break;
+        case Leg::PoolReply:
+          for (const std::uint32_t n : pool_matches)
+            serial_cost += sizes.reply_batches(n) * hops;
+          break;
       }
-      for (const auto& [qi, matched] : pool_matches)
-        serial_cost += sizes.reply_batches(matched) * hops(route_scratch_);
     }
+    void end_pool() { std::fill(pool_matches.begin(), pool_matches.end(), 0); }
+  };
+  Union op{{}, queries, askers, users, net_.sizes(), {},
+           std::vector<std::uint32_t>(nq, 0)};
+  walk(sink, plan, op, batch);
+  batch.unique_cell_visits = batch.index_nodes_visited;
 
-    // Demultiplex: each query collects its events by walking ITS OWN
-    // relevant-cell list in resolver order — exactly the order serial
-    // query() appends in, so the per-query result is identical even
-    // though the union visited the cells in a different order.
-    for (const std::size_t qi : users) {
+  // Demultiplex: each query takes its events cell by cell in ITS OWN
+  // resolver order — exactly the order serial query() appends in, so the
+  // per-query result is identical even though the union visited the
+  // cells in first-seen order.
+  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
+    for (std::size_t qi = 0; qi < nq; ++qi) {
       auto& events = batch.per_query[qi].events;
-      for (const CellOffset off : qcells[qi]) {
-        const auto& cell = cells_[cell_key(pool_dim, off)];
-        cell.scan(queries[qi], /*skip_replicas=*/true, [&](std::size_t row) {
-          events.push_back(cell.event_at(row));
-        });
+      for (const CellOffset off : qcells[pool_dim * nq + qi]) {
+        Askers& a = askers[tag_of.at(cell_key(pool_dim, off))];
+        const auto ai =
+            std::find(a.queries.begin(), a.queries.end(), qi) - a.queries.begin();
+        for (Event& e : a.found[ai]) events.push_back(std::move(e));
       }
     }
   }
@@ -969,9 +793,9 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
   const auto delta = net_.traffic() - before;
   batch.cost() = storage::cost_of(delta);
   if (net_.loss_model().loss_probability == 0.0 && net_.extra_loss() == 0.0)
-    POOLNET_ASSERT(serial_cost >= delta.total);
+    POOLNET_ASSERT(op.serial_cost >= delta.total);
   batch.messages_saved =
-      serial_cost >= delta.total ? serial_cost - delta.total : 0;
+      op.serial_cost >= delta.total ? op.serial_cost - delta.total : 0;
   return batch;
 }
 
@@ -984,116 +808,69 @@ storage::AggregateReceipt PoolSystem::aggregate(net::NodeId sink,
   if (value_dim >= dims_)
     throw ConfigError("PoolSystem: aggregate dimension out of range");
 
-  storage::AggregateReceipt receipt;
-  const auto before = net_.traffic();
-  const auto& sizes = net_.sizes();
-  storage::PartialAggregate total;
-
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    const auto cells = relevant_cells(q, pool_dim, config_.side);
-    if (cells.empty()) continue;
-    charge_pivot_lookup(sink, pool_dim);
-
-    net::NodeId splitter = splitter_for(pool_dim, sink);
-    bool splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                     sizes.query_bits(dims_))
-                                .delivered;
-    if (!splitter_reached && net_.has_failures()) {
-      const net::NodeId repicked = splitter_for(pool_dim, sink);
-      if (repicked != splitter) {
-        splitter = repicked;
-        splitter_reached = send_leg(sink, splitter, net::MessageKind::Query,
-                                    sizes.query_bits(dims_))
-                               .delivered;
-      }
-    }
-    if (!splitter_reached) continue;
-
-    storage::PartialAggregate pool_partial;
-    for (const CellOffset off : cells) {
-      const std::size_t key = cell_key(pool_dim, off);
-      if (net_.has_failures()) absorb_dead_holders(key);
-      net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-      bool cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                   sizes.query_bits(dims_))
-                              .delivered;
-      if (!cell_reached && net_.has_failures()) {
-        const net::NodeId reelected =
-            grid_.index_node(layout_.cell(pool_dim, off));
-        if (reelected != idx && reelected != net::kNoNode) {
-          idx = reelected;
-          cell_reached = send_leg(splitter, idx, net::MessageKind::SubQuery,
-                                  sizes.query_bits(dims_))
-                             .delivered;
-        }
-      }
-      if (!cell_reached) continue;
-      ++receipt.index_nodes_visited;
-
-      storage::PartialAggregate cell_partial;
+  struct Partials : VisitOp {
+    static constexpr bool partial() { return true; }
+    const RangeQuery& q;
+    std::size_t value_dim;
+    storage::PartialAggregate pool, total;
+    // The cell reduces its matches to one fixed-size partial: its own
+    // rows in scan order, then each delegate's partial as its poll
+    // returns it. The splitter merges the pool's partials.
+    void select(const Visit&, const storage::column::ColumnStore& cell,
+                net::NodeId idx, std::vector<std::uint32_t>& rows) {
+      storage::PartialAggregate here;
       std::unordered_map<net::NodeId, storage::PartialAggregate> at_delegate;
-      const auto& cell = cells_[key];
       cell.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
+        rows.push_back(static_cast<std::uint32_t>(row));
         const double v = cell.value_at(row, value_dim);
         const net::NodeId holder = cell.holder_at(row);
         if (holder == idx) {
-          cell_partial.add(v);
+          here.add(v);
         } else {
           at_delegate[holder].add(v);
         }
       });
-      for (const auto& [delegate, partial] : at_delegate) {
-        // One hop out, one fixed-size partial back.
-        net_.transmit(idx, delegate, net::MessageKind::SubQuery,
-                      sizes.query_bits(dims_));
-        net_.transmit(delegate, idx, net::MessageKind::Reply,
-                      sizes.aggregate_bits());
-        cell_partial.merge(partial);
-      }
-
-      if (!cell_partial.empty()) {
-        pool_partial.merge(cell_partial);
-        if (idx != splitter)
-          send_leg(idx, splitter, net::MessageKind::Reply,
-                   sizes.aggregate_bits());
-      }
+      for (const auto& [delegate, partial] : at_delegate) here.merge(partial);
+      if (!here.empty()) pool.merge(here);
     }
-
-    if (!pool_partial.empty()) {
-      total.merge(pool_partial);
-      if (splitter != sink)
-        send_leg(splitter, sink, net::MessageKind::Reply,
-                 sizes.aggregate_bits());
+    void end_pool() {
+      if (!pool.empty()) total.merge(pool);
+      pool = {};
     }
-  }
-
-  receipt.result = total.finalize(kind);
-  const auto delta = net_.traffic() - before;
-  receipt.cost() = storage::cost_of(delta);
+  };
+  storage::AggregateReceipt receipt;
+  const auto before = net_.traffic();
+  std::vector<Visit> plan;
+  plan_range(q, plan);
+  Partials op{{}, q, value_dim, {}, {}};
+  walk(sink, plan, op, receipt);
+  receipt.result = op.total.finalize(kind);
+  receipt.cost() = storage::cost_of(net_.traffic() - before);
   return receipt;
 }
 
-void PoolSystem::walk_registration_tree(
-    net::NodeId sink, const RangeQuery& q,
-    const std::function<void(std::size_t)>& per_cell) {
-  const auto& sizes = net_.sizes();
-  for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
-    const auto cells = relevant_cells(q, pool_dim, config_.side);
-    if (cells.empty()) continue;
-    charge_pivot_lookup(sink, pool_dim);
-
-    const net::NodeId splitter = splitter_for(pool_dim, sink);
-    router_.route_to_node_into(sink, splitter, route_scratch_);
-    net_.transmit_path(route_scratch_.path, net::MessageKind::Control,
-                       sizes.query_bits(dims_));
-    for (const CellOffset off : cells) {
-      const net::NodeId idx = grid_.index_node(layout_.cell(pool_dim, off));
-      router_.route_to_node_into(splitter, idx, route_scratch_);
-      net_.transmit_path(route_scratch_.path, net::MessageKind::Control,
-                         sizes.query_bits(dims_));
-      per_cell(cell_key(pool_dim, off));
+std::vector<std::size_t> PoolSystem::walk_registration(net::NodeId sink,
+                                                       const RangeQuery& q) {
+  // Registration and cancellation travel the query tree as Control
+  // messages; cells answer nothing.
+  struct Registration : VisitOp {
+    static constexpr net::MessageKind contact_kind() {
+      return net::MessageKind::Control;
     }
-  }
+    static constexpr net::MessageKind cell_kind() {
+      return net::MessageKind::Control;
+    }
+    void select(const Visit&, const storage::column::ColumnStore&,
+                net::NodeId, std::vector<std::uint32_t>&) {}
+  };
+  std::vector<Visit> plan;
+  plan_range(q, plan);
+  Registration op;
+  storage::ResultReceipt ignored;
+  walk(sink, plan, op, ignored);
+  std::vector<std::size_t> keys;
+  for (const Visit& v : plan) keys.push_back(cell_key(v.pool, v.off));
+  return keys;
 }
 
 PoolSystem::SubscriptionId PoolSystem::subscribe(net::NodeId sink,
@@ -1102,20 +879,17 @@ PoolSystem::SubscriptionId PoolSystem::subscribe(net::NodeId sink,
     throw ConfigError("PoolSystem: subscription dimensionality mismatch");
   const SubscriptionId id = next_subscription_++;
   subscriptions_.emplace(id, Subscription{sink, q, {}});
-  walk_registration_tree(sink, q, [&](std::size_t key) {
+  for (const std::size_t key : walk_registration(sink, q))
     cell_subs_[key].push_back(id);
-  });
   return id;
 }
 
 void PoolSystem::unsubscribe(SubscriptionId id) {
   const auto it = subscriptions_.find(id);
   if (it == subscriptions_.end()) return;
-  walk_registration_tree(it->second.sink, it->second.query,
-                         [&](std::size_t key) {
-                           auto& subs = cell_subs_[key];
-                           std::erase(subs, id);
-                         });
+  for (const std::size_t key :
+       walk_registration(it->second.sink, it->second.query))
+    std::erase(cell_subs_[key], id);
   subscriptions_.erase(it);
 }
 
@@ -1128,32 +902,6 @@ std::vector<PoolSystem::Notification> PoolSystem::take_notifications(
     out.push_back({id, std::move(e)});
   it->second.pending.clear();
   return out;
-}
-
-PoolSystem::NnReceipt PoolSystem::nearest_event(net::NodeId sink,
-                                                const storage::Values& target,
-                                                double initial_radius) {
-  // Legacy k = 1 shim over the k-NN query class (same expanding-box
-  // search, same traffic pattern).
-  if (initial_radius <= 0.0)
-    throw ConfigError("PoolSystem: NN initial radius must be positive");
-
-  storage::KNearestQuery q;
-  q.target = target;
-  q.k = 1;
-  q.initial_radius = initial_radius;
-  QueryReceipt r = k_nearest(sink, q);
-
-  NnReceipt receipt;
-  receipt.messages = r.messages;
-  receipt.index_nodes_visited = r.index_nodes_visited;
-  receipt.rounds = r.rounds;
-  if (!r.events.empty()) {
-    receipt.distance =
-        std::sqrt(storage::squared_distance(target, r.events.front().values));
-    receipt.nearest = std::move(r.events.front());
-  }
-  return receipt;
 }
 
 std::size_t PoolSystem::expire_before(double cutoff) {

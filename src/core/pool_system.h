@@ -21,19 +21,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "core/grid.h"
 #include "core/pool_geometry.h"
 #include "core/pool_layout.h"
 #include "net/network.h"
-#include "routing/reliable.h"
 #include "routing/router.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
+#include "storage/legs.h"
 
 namespace poolnet::core {
 
@@ -98,8 +96,7 @@ class PoolSystem final : public storage::DcsSystem {
   /// event within Euclidean distance r). Each visited cell answers with
   /// its local top-k regardless of the box, so a visited cell is never
   /// re-queried as the box grows; the search completes once the k-th
-  /// best distance is inside the proven-covered radius. Generalizes
-  /// nearest_event (which now forwards here with k = 1).
+  /// best distance is inside the proven-covered radius.
   storage::QueryReceipt k_nearest(net::NodeId sink,
                                   const storage::KNearestQuery& query) override;
 
@@ -134,21 +131,6 @@ class PoolSystem final : public storage::DcsSystem {
   /// (replicas > 0) — charged as Insert traffic from the mirror holder to
   /// the new index node — or counted lost. Idempotent per node.
   void handle_node_failure(net::NodeId dead) override;
-
-  /// Nearest-neighbor query in ATTRIBUTE space (the paper's stated future
-  /// work: "continuous monitoring of the nearest neighbor queries").
-  /// LEGACY k = 1 entry point: since the k-NN query class landed this is
-  /// a thin shim over k_nearest() (same expanding-box search, same
-  /// traffic); prefer execute() with a KNearestQuery in new code.
-  struct NnReceipt {
-    std::optional<storage::Event> nearest;
-    double distance = 0.0;  ///< Euclidean, attribute space; valid if nearest
-    std::uint64_t messages = 0;
-    std::size_t index_nodes_visited = 0;
-    std::size_t rounds = 0;  ///< box expansions performed
-  };
-  NnReceipt nearest_event(net::NodeId sink, const storage::Values& target,
-                          double initial_radius = 0.05);
 
   // --- continuous queries (Section 6 future work) -----------------------
   //
@@ -229,16 +211,64 @@ class PoolSystem final : public storage::DcsSystem {
   }
 
  private:
+  // --- the dissemination walk (Algorithm 2 + Section 3.2.3) -------------
+  //
+  // Every query class is a plan plus a per-visit operator run by walk():
+  // the plan lists the cells to visit in order, and the operator says
+  // what each visited cell contributes. walk() owns the traffic: splitter
+  // contact (re-picked on failure), the cell leg (re-elected on failure),
+  // dead-holder repair, the delegate polls of workload sharing, and the
+  // packed replies cell → splitter → sink.
+
+  /// One planned cell visit. `tag` is the operator's own per-visit index.
+  struct Visit {
+    std::size_t pool;
+    CellOffset off;
+    std::size_t tag = 0;
+  };
+
+  /// Leg kinds reported to VisitOp::on_leg (Pivot reports messages, the
+  /// others the hop count of the leg's route).
+  enum class Leg { Pivot, Contact, Cell, CellReply, PoolReply };
+
+  /// Default operator hooks; operators derive and hide what they change
+  /// (static dispatch: walk() is instantiated per operator).
+  /// Required: `void select(const Visit&, const ColumnStore& cell,
+  /// NodeId index_node, std::vector<std::uint32_t>& rows)` appending the
+  /// rows the cell answers with (their holders decide the delegate polls).
+  struct VisitOp {
+    /// Message kind of the sink → splitter and splitter → cell legs.
+    static constexpr net::MessageKind contact_kind() {
+      return net::MessageKind::Query;
+    }
+    static constexpr net::MessageKind cell_kind() {
+      return net::MessageKind::SubQuery;
+    }
+    /// Replies are one fixed-size partial instead of packed events.
+    static constexpr bool partial() { return false; }
+    /// Forward each visit's reply to the sink at once instead of merging
+    /// a pool's replies at its splitter.
+    static constexpr bool flush_per_visit() { return false; }
+
+    bool admit(const Visit&) { return true; }
+    void end_pool() {}
+    void on_leg(Leg, const Visit&, std::uint64_t) {}
+  };
+
+  template <typename Op>
+  void walk(net::NodeId sink, const std::vector<Visit>& plan, Op& op,
+            storage::ResultReceipt& receipt);
+
+  /// Theorem 3.2's relevant cells of `q`, pool by pool, resolver order.
+  void plan_range(const storage::RangeQuery& q, std::vector<Visit>& plan) const;
+
+  /// Walks `q`'s relevant cells from `sink` as Control messages (the cost
+  /// of a subscription or its cancellation); returns their cell keys.
+  std::vector<std::size_t> walk_registration(net::NodeId sink,
+                                             const storage::RangeQuery& q);
+
   std::size_t cell_key(std::size_t pool_dim, CellOffset offset) const;
   net::NodeId pick_delegate(net::NodeId index_node) const;
-
-  /// One reliable leg: send, accumulate retry/failure stats, and run
-  /// failover for every node the delivery discovered dead. Returns a
-  /// reference to the per-system scratch outcome — valid only until the
-  /// next send_leg call, so consume it before sending again.
-  const routing::LegOutcome& send_leg(net::NodeId from, net::NodeId to,
-                                      net::MessageKind kind,
-                                      std::uint64_t bits);
 
   /// Repairs a cell whose holders include silently-dead nodes (the index
   /// node's beacon table exposes them) so a query never fabricates
@@ -257,9 +287,9 @@ class PoolSystem final : public storage::DcsSystem {
   std::size_t dims_;
   PoolConfig config_;
 
-  /// Reused across every leg/route on the hot query/insert paths so a
-  /// warm system issues them without heap traffic.
-  routing::LegOutcome leg_scratch_;
+  storage::Legs legs_;
+  /// Reused by pivot lookups and notifications so a warm system issues
+  /// them without heap traffic.
   routing::RouteResult route_scratch_;
   Grid grid_;
   PoolLayout layout_;
@@ -290,11 +320,6 @@ class PoolSystem final : public storage::DcsSystem {
     storage::RangeQuery query;
     std::vector<storage::Event> pending;
   };
-  /// Walks the registration tree for `q`, charging Control messages, and
-  /// applies `per_cell` to each relevant cell key.
-  void walk_registration_tree(net::NodeId sink, const storage::RangeQuery& q,
-                              const std::function<void(std::size_t)>& per_cell);
-
   std::map<SubscriptionId, Subscription> subscriptions_;
   std::vector<std::vector<SubscriptionId>> cell_subs_;  // per cell key
   SubscriptionId next_subscription_ = 1;

@@ -8,17 +8,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "dim/zone_tree.h"
 #include "net/network.h"
-#include "routing/reliable.h"
 #include "routing/router.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
+#include "storage/legs.h"
 
 namespace poolnet::dim {
 
@@ -98,42 +95,35 @@ class DimSystem final : public storage::DcsSystem {
   /// Node a (sub)query is addressed to when targeting this zone.
   net::NodeId representative(ZoneIndex zidx) const;
 
-  /// One reliable leg: send, accumulate retry/failure stats, and run
-  /// failover for every node the delivery discovered dead. Returns a
-  /// reference to the per-system scratch outcome — valid only until the
-  /// next send_leg call, so consume it before sending again.
-  const routing::LegOutcome& send_leg(net::NodeId from, net::NodeId to,
-                                      net::MessageKind kind,
-                                      std::uint64_t bits);
-
-  /// Shared recursive split-and-forward walk. `on_leaf(zidx)` runs at the
-  /// owner of every relevant leaf after the subquery legs are charged.
-  template <typename LeafFn>
+  /// The split-and-forward walk below `zidx` (DIM's query refinement).
+  /// `hop(from, resolve)` carries the query from `from` to the node
+  /// `resolve()` names and returns the node that holds it (kNoNode: the
+  /// branch is cut); `on_leaf(zidx)` runs at every relevant leaf's owner.
+  /// Queries send real legs; query_batch's cost probe only records them.
+  template <typename Hop, typename LeafFn>
   void walk_subtree(net::NodeId carrier, ZoneIndex zidx,
-                    const storage::RangeQuery& q, LeafFn&& on_leaf);
+                    const storage::RangeQuery& q, Hop&& hop,
+                    LeafFn&& on_leaf) const;
 
-  void process_subtree(net::NodeId carrier, ZoneIndex zidx,
-                       const storage::RangeQuery& q, net::NodeId sink,
-                       storage::QueryReceipt& receipt);
+  /// Routes `q` from `sink` to its enclosing zone and walks the split
+  /// tree from there with reliable legs (query and aggregate).
+  template <typename LeafFn>
+  void disseminate(net::NodeId sink, const storage::RangeQuery& q,
+                   LeafFn&& on_leaf);
 
-  /// Replays one query's serial walk WITHOUT charging the ledger: records
-  /// every leg walk_subtree would transmit into `legs` (computing each
-  /// route once), adds the legs' hop counts to `cost`, and fires on_leaf
-  /// at every relevant leaf in serial visit order.
-  void serial_probe(net::NodeId carrier, ZoneIndex zidx,
-                    const storage::RangeQuery& q,
-                    std::map<std::pair<net::NodeId, net::NodeId>,
-                             routing::RouteResult>& legs,
-                    std::uint64_t& cost,
-                    const std::function<void(ZoneIndex)>& on_leaf) const;
+  /// Skyline and k-NN visit leaves one at a time: the sink addresses
+  /// `leaf`'s owner, which reduces its residents with `reduce` into
+  /// `local` and replies them. False when the owner or the reply is
+  /// unreachable, or nothing is left to reply.
+  template <typename Reduce>
+  bool visit_owner(net::NodeId sink, ZoneIndex leaf, Reduce&& reduce,
+                   std::vector<storage::Event>& local,
+                   storage::ResultReceipt& receipt);
 
   net::Network& net_;
   const routing::Router& router_;
 
-  /// Reused across every leg/route on the hot query/insert paths so a
-  /// warm system issues them without heap traffic.
-  routing::LegOutcome leg_scratch_;
-  routing::RouteResult route_scratch_;
+  storage::Legs legs_;
 
   ZoneTree tree_;
   std::vector<storage::column::ColumnStore> store_;  // indexed by ZoneIndex

@@ -23,10 +23,10 @@
 #include <vector>
 
 #include "net/network.h"
-#include "routing/reliable.h"
 #include "routing/router.h"
 #include "storage/column/column_store.h"
 #include "storage/dcs_system.h"
+#include "storage/legs.h"
 
 namespace poolnet::ght {
 
@@ -104,28 +104,26 @@ class GhtSystem final : public storage::DcsSystem {
   std::uint64_t key_of(const storage::Values& values) const;
   Point location_of(std::uint64_t key) const;
 
-  /// One reliable leg: send, accumulate retry/failure stats, and run
-  /// failover for every node the delivery discovered dead. Returns a
-  /// reference to the per-system scratch outcome — valid only until the
-  /// next send_leg call, so consume it before sending again.
-  const routing::LegOutcome& send_leg(net::NodeId from, net::NodeId to,
-                                      net::MessageKind kind,
-                                      std::uint64_t bits);
-
   /// Charges a network-wide flood rooted at `sink` (each node rebroadcasts
-  /// once: n-1 Query transmissions over a BFS tree) and returns per-node
-  /// visit order. The tree is recomputed per call — GHT keeps no state.
+  /// once: n-1 Query transmissions over a BFS tree) and returns how many
+  /// nodes it reached. The tree is recomputed per call — GHT keeps no state.
   std::size_t charge_flood(net::NodeId sink);
 
+  /// The walk of every class but point queries: one flood from `sink`,
+  /// then each live holder reduces its store with `select` (returning how
+  /// many events it replies with; for `partial` replies, nonzero when it
+  /// has a partial aggregate) and replies straight to the sink; `accept`
+  /// runs once that reply arrives. Holders the flood exposes as dead are
+  /// absorbed. Returns the flood's reach.
+  template <typename Select, typename Accept>
+  std::size_t flood_collect(net::NodeId sink, bool partial,
+                            storage::ResultReceipt& receipt, Select&& select,
+                            Accept&& accept);
+
   net::Network& net_;
-  const routing::Router& router_;
   std::size_t dims_;
   GhtConfig config_;
-
-  /// Reused across every leg/route on the hot query/insert paths so a
-  /// warm system issues them without heap traffic.
-  routing::LegOutcome leg_scratch_;
-  routing::RouteResult route_scratch_;
+  storage::Legs legs_;
   std::vector<storage::column::ColumnStore> store_;  // per home node
   mutable storage::column::ScanStats scan_stats_;
   std::size_t stored_count_ = 0;

@@ -176,8 +176,8 @@ TEST(NearestMonitor, AgreesWithFreshSearchUnderRandomStream) {
     fx.pool().insert(e.source, e);
     monitor.poll();
   }
-  // The fresh search goes through the unified request surface (the
-  // deprecated nearest_event shim forwards to this same k-NN path).
+  // The fresh search goes through the unified request surface, the same
+  // k-NN path the monitor's initial resolve takes.
   const storage::QueryReceipt fresh =
       fx.pool().execute(4, storage::KNearestQuery{target, 1, 0.05});
   ASSERT_FALSE(fresh.events.empty());

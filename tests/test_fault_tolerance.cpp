@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -415,6 +416,96 @@ TEST(Failover, GhtReclaimsDeadStoreAndKeepsAnswering) {
   const auto r = ght.query(sink, whole_space());
   EXPECT_EQ(r.events.size(), ght.stored_count());
   EXPECT_EQ(ght.stored_count(), tb.oracle().all().size() - held);
+}
+
+// A holder that died without being noticed must not answer k-NN: the
+// walk absorbs dead holders before it visits a cell, as range queries do.
+TEST(Failover, PoolKnnNeverAnswersFromSilentlyDeadHolders) {
+  benchsup::TestbedConfig config;
+  config.nodes = 250;
+  config.seed = 11;
+  benchsup::Testbed tb(config);
+  const auto total = tb.insert_workload();
+
+  NodeId dead = 0;
+  for (const auto& node : tb.pool_network().nodes())
+    if (node.stored_events > tb.pool_network().node(dead).stored_events)
+      dead = node.id;
+  ASSERT_GT(tb.pool_network().node(dead).stored_events, 0u);
+  tb.pool_network().kill(dead);  // silently: no handle_node_failure
+
+  const auto sink = dead == 0 ? NodeId{1} : NodeId{0};
+  storage::KNearestQuery q;
+  q.target = storage::Values{0.5, 0.5, 0.5};
+  q.k = total;
+  const auto knn = tb.pool().execute(sink, q);
+  const auto lost = tb.pool().fault_stats().events_lost;
+  EXPECT_GT(lost, 0u);
+  EXPECT_EQ(knn.events.size() + lost, total);
+  EXPECT_EQ(sorted_ids(knn.events),
+            sorted_ids(tb.pool().query(sink, whole_space()).events));
+}
+
+// Batching under faults: on two identical deployments after the same
+// silent kill, query_batch returns per-query results identical to serial
+// execute() calls, for Pool, DIM and GHT.
+TEST(OnlineFaults, BatchAfterKillMatchesSerialExecute) {
+  struct Twin {
+    explicit Twin(const benchsup::TestbedConfig& config) : tb(config) {
+      tb.insert_workload();
+      const auto pts = tb.pool_network().positions();
+      ght_net = std::make_unique<Network>(
+          std::vector<Point>(pts.begin(), pts.end()),
+          tb.pool_network().field(), 40.0);
+      ght_gpsr = std::make_unique<routing::Gpsr>(*ght_net);
+      ght = std::make_unique<ght::GhtSystem>(*ght_net, *ght_gpsr, 3);
+      for (const auto& e : tb.oracle().all()) ght->insert(e.source, e);
+      Rng rng(99);
+      for (NodeId id = 0; id < ght_net->size(); ++id) {
+        if (rng.uniform() >= 0.15) continue;
+        tb.pool_network().kill(id);
+        tb.dim_network().kill(id);
+        ght_net->kill(id);
+      }
+    }
+    std::vector<storage::DcsSystem*> systems() {
+      return {&tb.pool(), &tb.dim(), ght.get()};
+    }
+    benchsup::Testbed tb;
+    std::unique_ptr<Network> ght_net;
+    std::unique_ptr<routing::Gpsr> ght_gpsr;
+    std::unique_ptr<ght::GhtSystem> ght;
+  };
+  benchsup::TestbedConfig config;
+  config.nodes = 250;
+  config.seed = 21;
+  Twin batched(config), serial(config);
+  ASSERT_TRUE(batched.ght_net->has_failures());
+
+  query::QueryGenerator qgen({.dims = 3}, 31);
+  Rng sink_rng(32);
+  const auto& events = batched.tb.oracle().all();
+  for (int round = 0; round < 3; ++round) {
+    NodeId sink = batched.tb.random_node(sink_rng);
+    while (!batched.ght_net->alive(sink)) sink = (sink + 1) % 250;
+    std::vector<RangeQuery> qs;
+    for (int j = 0; j < 3; ++j) qs.push_back(qgen.exact_range());
+    for (int j = 0; j < 3; ++j) qs.push_back(qgen.partial_range(1));
+    RangeQuery::Bounds b;
+    for (const double v : events[round * 97].values) b.push_back({v, v});
+    qs.push_back(RangeQuery(b));
+    qs.push_back(qs[0]);
+
+    const auto a = batched.systems();
+    const auto s = serial.systems();
+    for (std::size_t sys = 0; sys < a.size(); ++sys) {
+      const auto batch = a[sys]->query_batch(sink, qs);
+      ASSERT_EQ(batch.per_query.size(), qs.size());
+      for (std::size_t j = 0; j < qs.size(); ++j)
+        EXPECT_EQ(batch.per_query[j].events, s[sys]->execute(sink, qs[j]).events)
+            << a[sys]->name() << " round " << round << " query " << j;
+    }
+  }
 }
 
 // --- end-to-end through the CLI runner ---------------------------------

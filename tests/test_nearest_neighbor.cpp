@@ -1,5 +1,6 @@
 // Nearest-neighbor queries in attribute space (the paper's future-work
-// feature, implemented via expanding box search over the Pool machinery).
+// feature): k = 1 KNearestQuery requests through execute(), served by
+// Pool's expanding box search.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -46,6 +47,15 @@ struct NnFixture {
     return {best, best_d};
   }
 
+  // The nearest stored event to `target` as Pool finds it (k = 1).
+  storage::QueryReceipt nearest(net::NodeId sink, const Values& target,
+                                double initial_radius = 0.0) {
+    storage::KNearestQuery q;
+    q.target = target;
+    q.initial_radius = initial_radius;
+    return tb->pool().execute(sink, q);
+  }
+
   std::unique_ptr<benchsup::Testbed> tb;
 };
 
@@ -58,12 +68,10 @@ TEST_P(NnSeeds, MatchesBruteForceDistance) {
     Values target{rng.uniform(), rng.uniform(), rng.uniform()};
     const auto [want, want_d] = fx.brute_nn(target);
     ASSERT_NE(want, nullptr);
-    const auto r = fx.tb->pool().nearest_event(
-        fx.tb->random_node(rng), target);
-    ASSERT_TRUE(r.nearest.has_value());
+    const auto r = fx.nearest(fx.tb->random_node(rng), target);
+    ASSERT_EQ(r.events.size(), 1u);
     // Ties by distance are acceptable; the distance itself must match.
-    EXPECT_NEAR(r.distance, want_d, 1e-12);
-    EXPECT_NEAR(dist(r.nearest->values, target), want_d, 1e-12);
+    EXPECT_NEAR(dist(r.events[0].values, target), want_d, 1e-12);
   }
 }
 
@@ -72,10 +80,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NnSeeds, ::testing::Values(1, 2, 3, 4));
 TEST(NearestNeighbor, ExactHitHasZeroDistance) {
   NnFixture fx(5);
   const Event& stored = fx.tb->oracle().all()[100];
-  const auto r = fx.tb->pool().nearest_event(0, stored.values);
-  ASSERT_TRUE(r.nearest.has_value());
-  EXPECT_DOUBLE_EQ(r.distance, 0.0);
-  EXPECT_EQ(r.nearest->values, stored.values);
+  const auto r = fx.nearest(0, stored.values);
+  ASSERT_EQ(r.events.size(), 1u);
+  EXPECT_DOUBLE_EQ(dist(r.events[0].values, stored.values), 0.0);
+  EXPECT_EQ(r.events[0].values, stored.values);
 }
 
 TEST(NearestNeighbor, EmptyStoreReturnsNothing) {
@@ -83,8 +91,10 @@ TEST(NearestNeighbor, EmptyStoreReturnsNothing) {
   config.nodes = 150;
   config.seed = 6;
   benchsup::Testbed tb(config);  // no insert_workload()
-  const auto r = tb.pool().nearest_event(0, Values{0.5, 0.5, 0.5});
-  EXPECT_FALSE(r.nearest.has_value());
+  storage::KNearestQuery q;
+  q.target = Values{0.5, 0.5, 0.5};
+  const auto r = tb.pool().execute(0, q);
+  EXPECT_TRUE(r.events.empty());
   EXPECT_GT(r.rounds, 1u);  // had to expand to the whole space
 }
 
@@ -92,8 +102,8 @@ TEST(NearestNeighbor, VisitsFewCellsForDenseTargets) {
   NnFixture fx(7, 400);
   // With 1200 stored events, a centered target finds a neighbor within
   // the first rounds and touches a small fraction of the 300 cells.
-  const auto r = fx.tb->pool().nearest_event(0, Values{0.5, 0.4, 0.3});
-  ASSERT_TRUE(r.nearest.has_value());
+  const auto r = fx.nearest(0, Values{0.5, 0.4, 0.3});
+  ASSERT_EQ(r.events.size(), 1u);
   EXPECT_LT(r.index_nodes_visited, 100u);
   EXPECT_GT(r.messages, 0u);
 }
@@ -104,26 +114,28 @@ TEST(NearestNeighbor, CornerTargetsStillComplete) {
        {Values{0.0, 0.0, 0.0}, Values{1.0, 1.0, 1.0}, Values{1.0, 0.0, 1.0}}) {
     const auto [want, want_d] = fx.brute_nn(target);
     ASSERT_NE(want, nullptr);
-    const auto r = fx.tb->pool().nearest_event(3, target);
-    ASSERT_TRUE(r.nearest.has_value());
-    EXPECT_NEAR(r.distance, want_d, 1e-12);
+    const auto r = fx.nearest(3, target);
+    ASSERT_EQ(r.events.size(), 1u);
+    EXPECT_NEAR(dist(r.events[0].values, target), want_d, 1e-12);
   }
 }
 
 TEST(NearestNeighbor, LargerInitialRadiusFewerRounds) {
   NnFixture fx(9);
   Values target{0.2, 0.9, 0.4};
-  const auto small = fx.tb->pool().nearest_event(0, target, 0.01);
-  const auto large = fx.tb->pool().nearest_event(0, target, 0.5);
+  const auto small = fx.nearest(0, target, 0.01);
+  const auto large = fx.nearest(0, target, 0.5);
   EXPECT_GE(small.rounds, large.rounds);
-  EXPECT_NEAR(small.distance, large.distance, 1e-12);
+  ASSERT_EQ(small.events.size(), 1u);
+  ASSERT_EQ(large.events.size(), 1u);
+  EXPECT_NEAR(dist(small.events[0].values, target),
+              dist(large.events[0].values, target), 1e-12);
 }
 
 TEST(NearestNeighbor, RejectsBadArguments) {
   NnFixture fx(10, 150);
-  EXPECT_THROW(fx.tb->pool().nearest_event(0, Values{0.5, 0.5}),
-               poolnet::ConfigError);
-  EXPECT_THROW(fx.tb->pool().nearest_event(0, Values{0.5, 0.5, 0.5}, 0.0),
+  EXPECT_THROW(fx.nearest(0, Values{0.5, 0.5}), poolnet::ConfigError);
+  EXPECT_THROW(fx.nearest(0, Values{0.5, 0.5, 0.5}, -0.1),
                poolnet::ConfigError);
 }
 

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 
 #include "core/pool_system.h"
 #include "net/deployment.h"
+#include "query/query_gen.h"
 #include "query/workload.h"
 #include "routing/gpsr.h"
 #include "storage/brute_force_store.h"
@@ -139,6 +143,116 @@ TEST(WorkloadSharing, UniformLoadRarelyTriggersDelegation) {
   const auto extra = with.network->traffic().total -
                      without.network->traffic().total;
   EXPECT_LT(extra, 750u / 20) << "uniform load should barely delegate";
+}
+
+RangeQuery whole_space() {
+  return RangeQuery({{0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0}});
+}
+
+// k-NN with k >= the stored events and a first box spanning the whole
+// value space visits exactly the whole-space range query's cells, and
+// every cell answers with all its events — so the two must charge the
+// same traffic, the delegate polls of workload sharing included.
+TEST(WorkloadSharing, WholeSpaceKnnChargesLikeWholeSpaceRange) {
+  std::uint64_t range_msgs[2] = {0, 0};
+  for (const bool sharing : {false, true}) {
+    Fixture fx(17, sharing_config(sharing, 4));
+    fx.insert_skewed(600, 23);
+    storage::KNearestQuery q;
+    q.target = storage::Values{0.3, 0.6, 0.9};
+    q.k = fx.oracle.all().size();
+    q.initial_radius = 1.0;
+    const auto knn = fx.pool->execute(7, q);
+    const auto range = fx.pool->query(7, whole_space());
+    EXPECT_EQ(knn.messages, range.messages) << "sharing " << sharing;
+    EXPECT_EQ(knn.query_messages, range.query_messages) << "sharing " << sharing;
+    EXPECT_EQ(knn.reply_messages, range.reply_messages) << "sharing " << sharing;
+    EXPECT_EQ(knn.index_nodes_visited, range.index_nodes_visited);
+    EXPECT_EQ(knn.rounds, 1u);
+    EXPECT_EQ(ids(knn.events), ids(range.events));
+    range_msgs[sharing] = range.messages;
+  }
+  EXPECT_GT(range_msgs[1], range_msgs[0]) << "no delegate was polled";
+}
+
+// Failover under workload sharing: once a cell's index node dies, the
+// re-elected index node polls the dead node's delegates, which need not
+// be ITS radio neighbors. Every surviving event keeps answering range,
+// aggregate and skyline queries: each result equals the oracle's over
+// the events failover did not count lost.
+TEST(WorkloadSharing, FailoverPollsDelegatesBeyondRadioRange) {
+  bool exercised = false;
+  for (std::size_t pick = 0; pick < 10 && !exercised; ++pick) {
+    Fixture fx(31, sharing_config(true, 4));
+    // Which delegates each index node handed events to, per the receipts.
+    query::WorkloadConfig wc;
+    wc.dims = 3;
+    wc.dist = query::ValueDistribution::Gaussian;
+    wc.center = 0.6;
+    wc.spread = 0.1;
+    query::EventGenerator gen(wc, 77);
+    std::map<NodeId, std::pair<CellCoord, std::vector<NodeId>>> handed;
+    for (std::size_t i = 0; i < 600; ++i) {
+      const auto e = gen.next(static_cast<NodeId>(i % fx.network->size()));
+      const auto choice = fx.pool->choose_cell(e.source, e);
+      const auto r = fx.pool->insert(e.source, e);
+      fx.oracle.insert(e.source, e);
+      if (r.stored_at == choice.index_node) continue;
+      handed[choice.index_node].first = choice.coord;
+      handed[choice.index_node].second.push_back(r.stored_at);
+    }
+    if (pick >= handed.size()) break;
+    const auto& [dead, cell] = *std::next(handed.begin(), pick);
+    fx.network->kill(dead);
+    fx.pool->handle_node_failure(dead);
+    const NodeId reelected = fx.pool->grid().index_node(cell.first);
+    exercised = std::any_of(
+        cell.second.begin(), cell.second.end(), [&](NodeId d) {
+          return fx.network->alive(d) && d != reelected &&
+                 !fx.network->are_neighbors(reelected, d);
+        });
+    if (!exercised) continue;
+
+    // The whole-space answer names the survivors; together with the
+    // events counted lost it must be exactly the oracle.
+    const NodeId sink = dead == 0 ? 1 : 0;
+    const auto all = fx.pool->query(sink, whole_space()).events;
+    ASSERT_EQ(all.size() + fx.pool->fault_stats().events_lost,
+              fx.oracle.all().size());
+    std::set<std::uint64_t> survivor_ids;
+    for (const auto& e : all) survivor_ids.insert(e.id);
+    std::vector<Event> survivors;
+    for (const auto& e : fx.oracle.all())
+      if (survivor_ids.count(e.id)) survivors.push_back(e);
+    ASSERT_EQ(survivors.size(), all.size());
+
+    query::QueryGenerator qgen({.dims = 3}, 5);
+    for (int i = 0; i < 10; ++i) {
+      const auto q = i % 2 ? qgen.partial_range(1) : qgen.exact_range();
+      std::vector<Event> want;
+      storage::PartialAggregate partial;
+      for (const auto& e : survivors)
+        if (q.matches(e)) {
+          want.push_back(e);
+          partial.add(e.values[1]);
+        }
+      EXPECT_EQ(ids(fx.pool->query(sink, q).events), ids(want)) << i;
+      for (const auto kind :
+           {storage::AggregateKind::Count, storage::AggregateKind::Sum,
+            storage::AggregateKind::Max}) {
+        const auto got = fx.pool->aggregate(sink, q, kind, 1).result;
+        const auto expect = partial.finalize(kind);
+        EXPECT_EQ(got.count, expect.count) << i;
+        EXPECT_EQ(got.valid, expect.valid) << i;
+        EXPECT_NEAR(got.value, expect.value, 1e-9) << i;
+      }
+      const auto sq = qgen.skyline_query();
+      std::vector<Event> sky = survivors;
+      storage::skyline_filter(sq, sky);
+      EXPECT_EQ(ids(fx.pool->skyline(sink, sq).events), ids(sky)) << i;
+    }
+  }
+  EXPECT_TRUE(exercised) << "no failover left a delegate out of radio range";
 }
 
 }  // namespace
