@@ -290,7 +290,6 @@ int main(int argc, char** argv) {
   backend.dims = static_cast<std::size_t>(*dims);
   backend.events_per_node = static_cast<std::size_t>(*epn);
   backend.seed = static_cast<std::uint64_t>(*seed);
-  if (backend.engine.batch_size == 0) backend.engine.batch_size = 16;
 
   // The verification arm: same deployment, direct serial execution.
   std::printf("server_load: building direct %s backend (%zu nodes)...\n",

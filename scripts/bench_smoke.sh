@@ -54,7 +54,7 @@ fi
 # the deterministic admission probe. Its section merges into
 # BENCH_perf.json so the regression gate below sees it.
 if [[ -x "$SERVER_LOAD" ]]; then
-  "$SERVER_LOAD" --json BENCH_server.json
+  "$SERVER_LOAD" --batch 16 --json BENCH_server.json
   python3 scripts/merge_perf_section.py BENCH_perf.json BENCH_server.json \
     server
 fi

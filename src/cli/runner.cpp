@@ -75,18 +75,33 @@ storage::QueryRequest make_request(query::QueryGenerator& gen,
   return gen.next(config.query_class);
 }
 
+/// `oracle_ids`: the ids of the full-data oracle answer, sorted.
 void record(Accumulator& acc, const storage::QueryReceipt& r,
-            std::size_t oracle_count, bool faults_on) {
+            const std::vector<std::uint64_t>& oracle_ids, bool faults_on) {
   acc.messages.add(static_cast<double>(r.messages));
   acc.query_messages.add(static_cast<double>(r.query_messages));
   acc.reply_messages.add(static_cast<double>(r.reply_messages));
   acc.results.add(static_cast<double>(r.events.size()));
   acc.visited.add(static_cast<double>(r.index_nodes_visited));
-  acc.recall.add(r.events.size(), oracle_count);
+  // Recall counts only returned events the oracle also returns. Under
+  // failures, skyline and k-NN answers over the surviving events admit
+  // events the full-data answer excludes (a lost skyline point uncovers
+  // the points it dominated), so a count ratio would exceed 1.
+  std::vector<std::uint64_t> returned;
+  returned.reserve(r.events.size());
+  for (const auto& e : r.events) returned.push_back(e.id);
+  std::sort(returned.begin(), returned.end());
+  returned.erase(std::unique(returned.begin(), returned.end()), returned.end());
+  std::size_t hits = 0;
+  for (const std::uint64_t id : returned)
+    hits += std::binary_search(oracle_ids.begin(), oracle_ids.end(), id);
+  acc.recall.add(hits, oracle_ids.size());
   // Under injected failures the oracle still counts destroyed events, so
   // a shortfall is expected degradation (reported as recall), not a
   // correctness violation.
-  if (!faults_on && r.events.size() != oracle_count) ++acc.mismatches;
+  if (!faults_on &&
+      (r.events.size() != oracle_ids.size() || hits != oracle_ids.size()))
+    ++acc.mismatches;
 }
 
 void merge(Accumulator& into, const Accumulator& from) {
@@ -251,7 +266,7 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   }
 
   struct Issued {
-    std::size_t oracle_count;
+    std::vector<std::uint64_t> oracle_ids;  ///< sorted
     std::map<SystemChoice, engine::QueryEngine::Ticket> tickets;
   };
   std::vector<Issued> issued;
@@ -288,7 +303,8 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
       else
         storage::knn_filter(q.k_nearest(), oracle_scratch);
     }
-    row.oracle_count = oracle_scratch.size();
+    for (const auto& e : oracle_scratch) row.oracle_ids.push_back(e.id);
+    std::sort(row.oracle_ids.begin(), row.oracle_ids.end());
     for (const auto s : config.systems)
       row.tickets[s] = engines[s]->submit(sink, q);
     issued.push_back(std::move(row));
@@ -298,7 +314,7 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
     for (const auto s : config.systems) {
       const storage::QueryReceipt r = engines[s]->take(row.tickets.at(s));
       latency[s].add(static_cast<double>(r.query_messages));
-      record(acc[s], r, row.oracle_count, faults_on);
+      record(acc[s], r, row.oracle_ids, faults_on);
     }
   }
   // Deployment-local systems start with zeroed fault counters, so the

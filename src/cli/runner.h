@@ -81,8 +81,9 @@ struct CliResult {
   double insert_messages_per_event = 0.0;
   std::size_t mismatches = 0;  ///< result sets differing from the oracle
 
-  /// Answered events / oracle events over the whole run (1.0 fault-free;
-  /// under --faults this is the survivability headline number).
+  /// Returned events the full-data oracle also returns / oracle events
+  /// over the whole run, so never above 1 (1.0 fault-free; under
+  /// --faults this is the survivability headline number).
   double recall = 1.0;
   std::uint64_t retries = 0;      ///< reliable-leg retransmission rounds
   std::uint64_t failovers = 0;    ///< index/owner/home re-elections

@@ -447,7 +447,9 @@ void PoolSystem::walk(net::NodeId sink, const std::vector<Visit>& plan, Op& op,
     }
     for (const auto& [delegate, n] : at_delegate) {
       legs_.send(idx, delegate, Op::cell_kind(), qbits);
-      reply(delegate, idx, n);
+      const std::uint64_t poll_hops = legs_.route().hops();
+      if (reply(delegate, idx, n))
+        op.on_poll(delegate, poll_hops, legs_.route().hops());
     }
     if (rows.empty()) continue;
     if (reply(idx, split, rows.size()))
@@ -462,28 +464,7 @@ void PoolSystem::walk(net::NodeId sink, const std::vector<Visit>& plan, Op& op,
 }
 
 QueryReceipt PoolSystem::query(net::NodeId sink, const RangeQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("PoolSystem: query dimensionality mismatch");
-
-  struct RangeScan : VisitOp {
-    const RangeQuery& q;
-    std::vector<Event>& out;
-    void select(const Visit&, const storage::column::ColumnStore& cell,
-                net::NodeId, std::vector<std::uint32_t>& rows) {
-      cell.scan(q, /*skip_replicas=*/true, [&](std::size_t row) {
-        out.push_back(cell.event_at(row));
-        rows.push_back(static_cast<std::uint32_t>(row));
-      });
-    }
-  };
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  std::vector<Visit> plan;
-  plan_range(q, plan);
-  RangeScan op{{}, q, receipt.events};
-  walk(sink, plan, op, receipt);
-  receipt.cost() = storage::cost_of(net_.traffic() - before);
-  return receipt;
+  return batch_of_one(sink, q);
 }
 
 QueryReceipt PoolSystem::skyline(net::NodeId sink,
@@ -644,26 +625,19 @@ QueryReceipt PoolSystem::k_nearest(net::NodeId sink,
 
 storage::BatchQueryReceipt PoolSystem::query_batch(
     net::NodeId sink, const std::vector<RangeQuery>& queries) {
-  // A batch of 0 or 1 gains nothing from merging; fall back to the
-  // serial default so single-query receipts stay exact.
-  if (queries.size() < 2) return DcsSystem::query_batch(sink, queries);
-  // Merged execution assumes a static, fully-alive network (its savings
-  // accounting rides on shared loss-free routes). Once nodes have died,
-  // run serially — the serial path carries the detection/retry/failover
-  // machinery.
-  if (net_.has_failures()) return DcsSystem::query_batch(sink, queries);
   for (const RangeQuery& q : queries)
     if (q.dims() != dims_)
       throw ConfigError("PoolSystem: query dimensionality mismatch");
 
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
-  const auto before = net_.traffic();
+  const auto mark = legs_.mark();
   const std::size_t nq = queries.size();
 
   // The plan: per pool, the union of the members' relevant cells (Theorem
   // 3.2 resolving is pure arithmetic, so the sink merges before sending
   // anything) in first-seen order, each visit tagged with its askers.
+  // A batch of one is exactly plan_range's plan.
   struct Askers {
     std::vector<std::size_t> queries;
     std::vector<std::vector<Event>> found;  ///< per asker, scan order
@@ -671,7 +645,8 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
   std::vector<Askers> askers;                     // by visit tag
   std::vector<std::vector<CellOffset>> qcells(dims_ * nq);  // [pool*nq+qi]
   std::vector<std::uint64_t> users(dims_, 0);     // askers per pool
-  std::unordered_map<std::size_t, std::size_t> tag_of;  // cell key → tag
+  constexpr std::size_t kUnplanned = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> tag_of(cells_.size(), kUnplanned);  // by cell key
   std::vector<Visit> plan;
   for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
     for (std::size_t qi = 0; qi < nq; ++qi) {
@@ -679,17 +654,15 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
       cells = relevant_cells(queries[qi], pool_dim, config_.side);
       if (cells.empty()) continue;
       ++users[pool_dim];
-      batch.serial_cell_visits += cells.size();
-      batch.per_query[qi].index_nodes_visited += cells.size();
       for (const CellOffset off : cells) {
-        const auto [it, fresh] =
-            tag_of.try_emplace(cell_key(pool_dim, off), askers.size());
-        if (fresh) {
-          plan.push_back({pool_dim, off, askers.size()});
+        std::size_t& tag = tag_of[cell_key(pool_dim, off)];
+        if (tag == kUnplanned) {
+          tag = askers.size();
+          plan.push_back({pool_dim, off, tag});
           askers.emplace_back();
         }
-        askers[it->second].queries.push_back(qi);
-        askers[it->second].found.emplace_back();
+        askers[tag].queries.push_back(qi);
+        askers[tag].found.emplace_back();
       }
     }
   }
@@ -697,54 +670,51 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
   struct Union : VisitOp {
     const std::vector<RangeQuery>& queries;
     std::vector<Askers>& askers;
+    std::vector<storage::QueryReceipt>& per_query;
     const std::vector<std::uint64_t>& users;
     const net::MessageSizes& sizes;
     std::vector<std::uint32_t> totals;        ///< this visit, per asker
     std::vector<std::uint32_t> pool_matches;  ///< this pool, per query
+    std::vector<char> answered{};             ///< this visit, per row
+    /// This visit: each delegate's matches, per asker.
+    std::vector<std::pair<net::NodeId, std::vector<std::uint32_t>>> at_delegate{};
     /// What issuing each query alone would have charged, from the hop
     /// counts of the legs the merged walk takes (every serial leg is
     /// also a union leg, so the routes are already at hand).
     std::uint64_t serial_cost = 0;
 
-    // One pass over the cell serves every asker: each asker's matches
-    // (split by holder, for the delegate economics) and the DISTINCT
-    // matching rows that actually travel back.
+    // Each asker runs the column kernel over the cell; a bitmap keeps the
+    // DISTINCT matching rows, which are what travels back (a lone asker's
+    // rows are distinct and in row order already), and each asker's
+    // matches are split by holder for the delegate polls.
     void select(const Visit& v, const storage::column::ColumnStore& cell,
                 net::NodeId idx, std::vector<std::uint32_t>& rows) {
       Askers& a = askers[v.tag];
+      const bool shared = a.queries.size() > 1;
       totals.assign(a.queries.size(), 0);
-      std::vector<std::pair<net::NodeId, std::vector<std::uint32_t>>>
-          at_delegate;
-      for (std::uint32_t row = 0; row < cell.size(); ++row) {
-        if (cell.replica_at(row)) continue;
-        const net::NodeId holder = cell.holder_at(row);
-        std::uint32_t* per = nullptr;
-        bool any = false;
-        for (std::size_t ai = 0; ai < a.queries.size(); ++ai) {
-          if (!cell.row_matches(queries[a.queries[ai]], row)) continue;
-          any = true;
-          ++totals[ai];
-          a.found[ai].push_back(cell.event_at(row));
-          if (holder == idx) continue;
-          if (per == nullptr) {
-            auto it = std::find_if(at_delegate.begin(), at_delegate.end(),
-                                   [&](const auto& d) { return d.first == holder; });
-            if (it == at_delegate.end())
-              it = at_delegate.insert(
-                  it, {holder, std::vector<std::uint32_t>(a.queries.size(), 0)});
-            per = it->second.data();
-          }
-          ++per[ai];
-        }
-        if (any) rows.push_back(row);
-      }
-      // Serial: each asker with matches at a delegate would poll it and
-      // pull its own reply batches, all single-hop.
-      for (const auto& [delegate, per] : at_delegate)
-        for (const std::uint32_t n : per)
-          if (n > 0) serial_cost += 1 + sizes.reply_batches(n);
-      for (std::size_t ai = 0; ai < a.queries.size(); ++ai)
+      if (shared) answered.assign(cell.size(), 0);
+      at_delegate.clear();
+      for (std::size_t ai = 0; ai < a.queries.size(); ++ai) {
+        cell.scan(queries[a.queries[ai]], /*skip_replicas=*/true,
+                  [&](std::size_t row) {
+                    ++totals[ai];
+                    a.found[ai].push_back(cell.event_at(row));
+                    if (!shared || !std::exchange(answered[row], 1))
+                      rows.push_back(static_cast<std::uint32_t>(row));
+                    const net::NodeId holder = cell.holder_at(row);
+                    if (holder == idx) return;
+                    auto it = std::find_if(
+                        at_delegate.begin(), at_delegate.end(),
+                        [&](const auto& d) { return d.first == holder; });
+                    if (it == at_delegate.end())
+                      it = at_delegate.insert(
+                          it, {holder, std::vector<std::uint32_t>(
+                                           a.queries.size(), 0)});
+                    ++it->second[ai];
+                  });
         pool_matches[a.queries[ai]] += totals[ai];
+      }
+      if (shared) std::sort(rows.begin(), rows.end());
     }
     void on_leg(Leg leg, const Visit& v, std::uint64_t hops) {
       switch (leg) {
@@ -756,6 +726,8 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
           break;
         case Leg::Cell:
           serial_cost += askers[v.tag].queries.size() * hops;
+          for (const std::size_t qi : askers[v.tag].queries)
+            ++per_query[qi].index_nodes_visited;
           break;
         case Leg::CellReply:
           for (const std::uint32_t n : totals)
@@ -767,22 +739,33 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
           break;
       }
     }
+    // Serial: each asker with matches at the delegate polls it and pulls
+    // its own reply batches.
+    void on_poll(net::NodeId delegate, std::uint64_t poll_hops,
+                 std::uint64_t reply_hops) {
+      for (const auto& [holder, per] : at_delegate)
+        if (holder == delegate)
+          for (const std::uint32_t n : per)
+            if (n > 0) serial_cost += poll_hops + sizes.reply_batches(n) * reply_hops;
+    }
     void end_pool() { std::fill(pool_matches.begin(), pool_matches.end(), 0); }
   };
-  Union op{{}, queries, askers, users, net_.sizes(), {},
+  Union op{{}, queries, askers, batch.per_query, users, net_.sizes(), {},
            std::vector<std::uint32_t>(nq, 0)};
   walk(sink, plan, op, batch);
   batch.unique_cell_visits = batch.index_nodes_visited;
+  for (const auto& r : batch.per_query)
+    batch.serial_cell_visits += r.index_nodes_visited;
 
   // Demultiplex: each query takes its events cell by cell in ITS OWN
-  // resolver order — exactly the order serial query() appends in, so the
-  // per-query result is identical even though the union visited the
+  // resolver order — exactly plan_range's order for that query alone, so
+  // the per-query result is identical even though the union visited the
   // cells in first-seen order.
   for (std::size_t pool_dim = 0; pool_dim < dims_; ++pool_dim) {
     for (std::size_t qi = 0; qi < nq; ++qi) {
       auto& events = batch.per_query[qi].events;
       for (const CellOffset off : qcells[pool_dim * nq + qi]) {
-        Askers& a = askers[tag_of.at(cell_key(pool_dim, off))];
+        Askers& a = askers[tag_of[cell_key(pool_dim, off)]];
         const auto ai =
             std::find(a.queries.begin(), a.queries.end(), qi) - a.queries.begin();
         for (Event& e : a.found[ai]) events.push_back(std::move(e));
@@ -790,12 +773,7 @@ storage::BatchQueryReceipt PoolSystem::query_batch(
     }
   }
 
-  const auto delta = net_.traffic() - before;
-  batch.cost() = storage::cost_of(delta);
-  if (net_.loss_model().loss_probability == 0.0 && net_.extra_loss() == 0.0)
-    POOLNET_ASSERT(op.serial_cost >= delta.total);
-  batch.messages_saved =
-      op.serial_cost >= delta.total ? op.serial_cost - delta.total : 0;
+  legs_.settle(mark, op.serial_cost, batch);
   return batch;
 }
 

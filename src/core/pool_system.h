@@ -77,6 +77,7 @@ class PoolSystem final : public storage::DcsSystem {
 
   storage::InsertReceipt insert(net::NodeId source,
                                 const storage::Event& event) override;
+  /// A range query is a batch of one through query_batch's merged walk.
   storage::QueryReceipt query(net::NodeId sink,
                               const storage::RangeQuery& query) override;
 
@@ -105,8 +106,8 @@ class PoolSystem final : public storage::DcsSystem {
   /// arithmetic, so the sink merges before transmitting anything), ONE
   /// probe travels the splitter tree over the union, and each visited
   /// cell replies once with the distinct matching events of all askers.
-  /// Per-query results are identical to serial query() calls;
-  /// messages_saved is exact on ideal links (DESIGN.md §8).
+  /// Per-query results are identical to issuing each query alone; the
+  /// walk fails over like every other (DESIGN.md §8).
   storage::BatchQueryReceipt query_batch(
       net::NodeId sink,
       const std::vector<storage::RangeQuery>& queries) override;
@@ -253,6 +254,8 @@ class PoolSystem final : public storage::DcsSystem {
     bool admit(const Visit&) { return true; }
     void end_pool() {}
     void on_leg(Leg, const Visit&, std::uint64_t) {}
+    /// A delegate poll whose reply arrived, with both legs' hop counts.
+    void on_poll(net::NodeId, std::uint64_t, std::uint64_t) {}
   };
 
   template <typename Op>

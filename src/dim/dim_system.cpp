@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 #include "common/error.h"
@@ -18,7 +17,6 @@ using storage::RangeQuery;
 DimSystem::DimSystem(net::Network& network,
                      const routing::Router& router, std::size_t dims)
     : net_(network),
-      router_(router),
       legs_(network, router, dims, *this, fault_stats_),
       tree_(network, dims),
       store_(tree_.size(), storage::column::ColumnStore(dims)),
@@ -97,78 +95,119 @@ InsertReceipt DimSystem::insert(net::NodeId source, const Event& event) {
   return receipt;
 }
 
-template <typename Hop, typename LeafFn>
-void DimSystem::walk_subtree(net::NodeId carrier, ZoneIndex zidx,
-                             const RangeQuery& q, Hop&& hop,
-                             LeafFn&& on_leaf) const {
-  const ZoneNode& z = tree_.zone(zidx);
-  if (z.is_leaf()) {
-    // Final leg to the zone owner, then the leaf-local action. A failed
-    // leg runs failover, which rewrites the owner in place — resolve it
-    // through the tree, not through a (stale) local binding.
-    if (hop(carrier, [&] { return tree_.zone(zidx).owner; }) != net::kNoNode)
-      on_leaf(zidx);
+namespace {
+/// Members of a merged walk carried into one zone by one node.
+struct Flight {
+  net::NodeId carrier;
+  std::vector<std::uint32_t> members;
+};
+
+/// Adds `members` to the flight `carrier` holds in `flights`, opening it
+/// when this is the carrier's first arrival.
+void board(std::vector<Flight>& flights, net::NodeId carrier,
+           std::vector<std::uint32_t>&& members) {
+  for (Flight& f : flights) {
+    if (f.carrier != carrier) continue;
+    f.members.insert(f.members.end(), members.begin(), members.end());
     return;
   }
-
-  const bool lower_hit = ZoneTree::zone_intersects(tree_.zone(z.lower), q);
-  const bool upper_hit = ZoneTree::zone_intersects(tree_.zone(z.upper), q);
-  if (lower_hit && upper_hit) {
-    // The query splits here: one subquery message per child region.
-    for (const ZoneIndex child : {z.lower, z.upper}) {
-      const net::NodeId next =
-          hop(carrier, [&] { return representative(child); });
-      if (next != net::kNoNode) walk_subtree(next, child, q, hop, on_leaf);
-    }
-  } else if (lower_hit) {
-    walk_subtree(carrier, z.lower, q, hop, on_leaf);
-  } else if (upper_hit) {
-    walk_subtree(carrier, z.upper, q, hop, on_leaf);
-  }
+  flights.push_back({carrier, std::move(members)});
 }
+}  // namespace
 
 template <typename LeafFn>
-void DimSystem::disseminate(net::NodeId sink, const RangeQuery& q,
-                            LeafFn&& on_leaf) {
-  // The sink addresses the query to the deepest zone that encloses it and
-  // routes it there; refinement then happens inside the zone. Failover
-  // re-elects a dead representative, and every leg retries once.
-  const ZoneIndex start = tree_.enclosing_zone(q);
-  if (!ZoneTree::zone_intersects(tree_.zone(start), q)) return;
+std::uint64_t DimSystem::disseminate(net::NodeId sink,
+                                     const std::vector<RangeQuery>& qs,
+                                     LeafFn&& on_leaf) {
   const std::uint64_t qbits = net_.sizes().query_bits(dims());
-  const net::NodeId entry = legs_.send_resolved(
-      sink, [&] { return representative(start); }, net::MessageKind::Query,
-      qbits);
-  if (entry == net::kNoNode) return;
-  walk_subtree(
-      entry, start, q,
-      [&](net::NodeId from, auto&& resolve) {
-        return legs_.send_resolved(from, resolve, net::MessageKind::SubQuery,
-                                   qbits);
-      },
-      on_leaf);
+  std::uint64_t serial = 0;
+  // One reliable leg for every member of `members`: failover re-elects a
+  // dead target and the leg retries once. Serial issue pays it per member.
+  const auto fly = [&](net::NodeId from, auto&& resolve, net::MessageKind kind,
+                       std::vector<std::uint32_t>&& members,
+                       std::vector<Flight>& into) {
+    const net::NodeId to = legs_.send_resolved(from, resolve, kind, qbits);
+    if (to == net::kNoNode) return;  // the branch is cut for these members
+    serial += members.size() * legs_.route().hops();
+    board(into, to, std::move(members));
+  };
+
+  // Each member is first addressed to the deepest zone enclosing it.
+  std::vector<ZoneIndex> start(qs.size());
+  std::vector<std::uint32_t> routable;
+  for (std::uint32_t m = 0; m < qs.size(); ++m) {
+    start[m] = tree_.enclosing_zone(qs[m]);
+    if (ZoneTree::zone_intersects(tree_.zone(start[m]), qs[m]))
+      routable.push_back(m);
+  }
+
+  // Depth-first, lower child first — each member's own serial order.
+  // `flights` are the members already walking into `zidx`; `pending`
+  // those whose enclosing zone lies at or below it.
+  const auto descend = [&](auto& self, ZoneIndex zidx,
+                           std::vector<Flight> flights,
+                           std::vector<std::uint32_t> pending) -> void {
+    const ZoneNode& z = tree_.zone(zidx);
+    std::vector<std::uint32_t> entering, below;
+    for (const std::uint32_t m : pending)
+      (start[m] == zidx ? entering : below).push_back(m);
+    if (!entering.empty())
+      fly(sink, [&] { return representative(zidx); }, net::MessageKind::Query,
+          std::move(entering), flights);
+
+    if (z.is_leaf()) {
+      // Final leg to the zone owner. A failed leg runs failover, which
+      // rewrites the owner in place — resolve it through the tree.
+      std::vector<Flight> at_owner;
+      for (Flight& f : flights)
+        fly(f.carrier, [&] { return tree_.zone(zidx).owner; },
+            net::MessageKind::SubQuery, std::move(f.members), at_owner);
+      std::vector<std::uint32_t> served;
+      for (const Flight& f : at_owner)
+        served.insert(served.end(), f.members.begin(), f.members.end());
+      if (!served.empty()) on_leaf(zidx, served);
+      return;
+    }
+
+    for (const ZoneIndex child : {z.lower, z.upper}) {
+      // A member whose query overlaps both children splits here: one
+      // subquery to the child's representative, shared by every member
+      // of the flight that splits. One that overlaps only this child
+      // stays with its carrier.
+      std::vector<Flight> next;
+      for (const Flight& f : flights) {
+        std::vector<std::uint32_t> split, through;
+        for (const std::uint32_t m : f.members) {
+          const bool lower_hit =
+              ZoneTree::zone_intersects(tree_.zone(z.lower), qs[m]);
+          const bool upper_hit =
+              ZoneTree::zone_intersects(tree_.zone(z.upper), qs[m]);
+          if (lower_hit && upper_hit) {
+            split.push_back(m);
+          } else if (child == z.lower ? lower_hit : upper_hit) {
+            through.push_back(m);
+          }
+        }
+        if (!split.empty())
+          fly(f.carrier, [&] { return representative(child); },
+              net::MessageKind::SubQuery, std::move(split), next);
+        if (!through.empty()) board(next, f.carrier, std::move(through));
+      }
+      std::vector<std::uint32_t> down;
+      for (const std::uint32_t m : below)
+        if (tree_.zone(child).code.prefix_of(tree_.zone(start[m]).code))
+          down.push_back(m);
+      if (!next.empty() || !down.empty())
+        self(self, child, std::move(next), std::move(down));
+    }
+  };
+  if (!routable.empty())
+    descend(descend, tree_.root(), {}, std::move(routable));
+  return serial;
 }
 
 QueryReceipt DimSystem::query(net::NodeId sink, const RangeQuery& q) {
-  if (q.dims() != dims())
-    throw ConfigError("DIM: query dimensionality mismatch");
-
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  std::vector<Event> matched;
-  disseminate(sink, q, [&](ZoneIndex leaf) {
-    ++receipt.index_nodes_visited;
-    matched.clear();
-    store_[leaf].matching_into(q, matched);
-    // Answers only count once they actually reach the sink — a reply leg
-    // that dies en route must show up as recall loss, not as data.
-    if (matched.empty() ||
-        legs_.reply(tree_.zone(leaf).owner, sink, matched.size()))
-      receipt.events.insert(receipt.events.end(), matched.begin(),
-                            matched.end());
-  });
-  receipt.cost() = storage::cost_of(net_.traffic() - before);
-  return receipt;
+  return batch_of_one(sink, q);
 }
 
 storage::AggregateReceipt DimSystem::aggregate(net::NodeId sink,
@@ -183,7 +222,7 @@ storage::AggregateReceipt DimSystem::aggregate(net::NodeId sink,
   storage::AggregateReceipt receipt;
   const auto before = net_.traffic();
   storage::PartialAggregate total;
-  disseminate(sink, q, [&](ZoneIndex leaf) {
+  disseminate(sink, {q}, [&](ZoneIndex leaf, const auto&) {
     ++receipt.index_nodes_visited;
     storage::PartialAggregate partial;
     const auto& cs = store_[leaf];
@@ -324,102 +363,49 @@ QueryReceipt DimSystem::k_nearest(net::NodeId sink,
 
 storage::BatchQueryReceipt DimSystem::query_batch(
     net::NodeId sink, const std::vector<RangeQuery>& queries) {
-  if (queries.size() < 2) return DcsSystem::query_batch(sink, queries);
   for (const RangeQuery& q : queries)
     if (q.dims() != dims())
       throw ConfigError("DIM: query dimensionality mismatch");
-  // With dead nodes around, the merged probe's cost accounting and
-  // pre-computed legs no longer hold; fall back to hardened serial
-  // execution (which retries and fails over per leg).
-  if (net_.has_failures()) return DcsSystem::query_batch(sink, queries);
 
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
-  const auto before = net_.traffic();
+  const auto mark = legs_.mark();
   const auto& sizes = net_.sizes();
-  std::uint64_t serial_cost = 0;
-
-  // Replays each query's serial walk WITHOUT charging the ledger: every
-  // leg the serial walk would transmit is recorded once (route computed
-  // once) and its hop count added to the serial cost.
-  using LegMap =
-      std::map<std::pair<net::NodeId, net::NodeId>, routing::RouteResult>;
-  LegMap entry_legs;  // sink → enclosing-zone representative (Query kind)
-  LegMap walk_legs;   // split-and-forward legs (SubQuery kind)
-  const auto take = [&](LegMap& legs, net::NodeId from, net::NodeId to) {
-    if (from == to) return;  // self legs are free
-    const auto [it, fresh] = legs.try_emplace({from, to});
-    if (fresh) it->second = router_.route_to_node(from, to);
-    serial_cost += it->second.hops();
-  };
-  // Per visited leaf: each query's match count (visits with no matches
-  // still count as visits, like serial index_nodes_visited) and the
-  // distinct rows any of them matched.
-  struct LeafHits {
-    std::vector<std::uint32_t> found;
-    std::vector<char> hit;
-    std::uint32_t distinct = 0;
-  };
-  std::map<ZoneIndex, LeafHits> leaves;
-
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    const RangeQuery& q = queries[qi];
-    const ZoneIndex start = tree_.enclosing_zone(q);
-    if (!ZoneTree::zone_intersects(tree_.zone(start), q)) continue;
-    const net::NodeId entry = representative(start);
-    take(entry_legs, sink, entry);
-    walk_subtree(
-        entry, start, q,
-        [&](net::NodeId from, auto&& resolve) {
-          const net::NodeId to = resolve();
-          take(walk_legs, from, to);
-          return to;
-        },
-        [&](ZoneIndex leaf) {
-          const auto& cs = store_[leaf];
-          auto [it, fresh] = leaves.try_emplace(leaf);
-          LeafHits& hits = it->second;
-          if (fresh) {
-            hits.found.assign(queries.size(), 0);
-            hits.hit.assign(cs.size(), 0);
-          }
-          ++batch.per_query[qi].index_nodes_visited;
-          ++batch.serial_cell_visits;
-          cs.scan(q, false, [&](std::size_t row) {
-            batch.per_query[qi].events.push_back(cs.event_at(row));
-            ++hits.found[qi];
-            if (!std::exchange(hits.hit[row], 1)) ++hits.distinct;
+  std::uint64_t serial_replies = 0;
+  std::vector<std::vector<Event>> found(queries.size());  // this leaf
+  std::vector<char> answered;                             // this leaf, per row
+  const std::uint64_t serial_forwarding = disseminate(
+      sink, queries,
+      [&](ZoneIndex leaf, const std::vector<std::uint32_t>& served) {
+        const auto& cs = store_[leaf];
+        ++batch.index_nodes_visited;
+        answered.assign(cs.size(), 0);
+        std::uint64_t distinct = 0;
+        for (const std::uint32_t m : served) {
+          ++batch.per_query[m].index_nodes_visited;
+          found[m].clear();
+          cs.scan(queries[m], false, [&](std::size_t row) {
+            found[m].push_back(cs.event_at(row));
+            if (!std::exchange(answered[row], 1)) ++distinct;
           });
-        });
-  }
-  batch.unique_cell_visits = leaves.size();
-  batch.index_nodes_visited = leaves.size();
-
-  // Ship the merged probe: every distinct serial leg exactly once. Legs
-  // shared by several queries carry all of them in one message.
-  for (const auto& [key, leg] : entry_legs)
-    net_.transmit_path(leg.path, net::MessageKind::Query,
-                       sizes.query_bits(dims()));
-  for (const auto& [key, leg] : walk_legs)
-    net_.transmit_path(leg.path, net::MessageKind::SubQuery,
-                       sizes.query_bits(dims()));
-
-  // Each answering leaf replies once with the distinct matching events of
-  // all askers; serial execution would have paid per asker.
-  for (const auto& [leaf, hits] : leaves) {
-    if (hits.distinct == 0 ||
-        !legs_.reply(tree_.zone(leaf).owner, sink, hits.distinct))
-      continue;
-    for (const std::uint32_t n : hits.found)
-      serial_cost += sizes.reply_batches(n) * legs_.route().hops();
-  }
-
-  const auto delta = net_.traffic() - before;
-  batch.cost() = storage::cost_of(delta);
-  if (net_.loss_model().loss_probability == 0.0 && net_.extra_loss() == 0.0)
-    POOLNET_ASSERT(serial_cost >= delta.total);
-  batch.messages_saved =
-      serial_cost >= delta.total ? serial_cost - delta.total : 0;
+        }
+        // The owner replies once with the distinct rows of every asker.
+        // Answers only count once they actually reach the sink — a reply
+        // leg that dies en route must show up as recall loss, not data.
+        if (distinct > 0 && !legs_.reply(tree_.zone(leaf).owner, sink, distinct))
+          return;
+        for (const std::uint32_t m : served) {
+          if (found[m].empty()) continue;
+          serial_replies +=
+              sizes.reply_batches(found[m].size()) * legs_.route().hops();
+          auto& events = batch.per_query[m].events;
+          events.insert(events.end(), found[m].begin(), found[m].end());
+        }
+      });
+  batch.unique_cell_visits = batch.index_nodes_visited;
+  for (const auto& r : batch.per_query)
+    batch.serial_cell_visits += r.index_nodes_visited;
+  legs_.settle(mark, serial_forwarding + serial_replies, batch);
   return batch;
 }
 

@@ -30,15 +30,17 @@ class DimSystem final : public storage::DcsSystem {
 
   storage::InsertReceipt insert(net::NodeId source,
                                 const storage::Event& event) override;
+  /// A range query is a batch of one through query_batch's merged walk.
   storage::QueryReceipt query(net::NodeId sink,
                               const storage::RangeQuery& query) override;
 
-  /// Merged multi-query execution: the shared dissemination tree is the
-  /// UNION of each query's serial forwarding legs with identical legs
-  /// charged once, and each answering leaf replies once with the distinct
-  /// matching events of all askers — so the batch never costs more than
-  /// the serial sum, even for disjoint queries whose zone walks diverge.
-  /// Per-query results are identical to serial query() calls (DESIGN.md §8).
+  /// Merged multi-query execution: every member walks its own serial zone
+  /// tree, and a leg is sent once for all members it carries from the
+  /// same node into the same zone; each answering leaf replies once with
+  /// the distinct matching events of all askers — so the batch never
+  /// costs more than the serial sum, even for disjoint queries whose zone
+  /// walks diverge. Per-query results are identical to issuing each
+  /// query alone (DESIGN.md §8).
   storage::BatchQueryReceipt query_batch(
       net::NodeId sink,
       const std::vector<storage::RangeQuery>& queries) override;
@@ -95,21 +97,18 @@ class DimSystem final : public storage::DcsSystem {
   /// Node a (sub)query is addressed to when targeting this zone.
   net::NodeId representative(ZoneIndex zidx) const;
 
-  /// The split-and-forward walk below `zidx` (DIM's query refinement).
-  /// `hop(from, resolve)` carries the query from `from` to the node
-  /// `resolve()` names and returns the node that holds it (kNoNode: the
-  /// branch is cut); `on_leaf(zidx)` runs at every relevant leaf's owner.
-  /// Queries send real legs; query_batch's cost probe only records them.
-  template <typename Hop, typename LeafFn>
-  void walk_subtree(net::NodeId carrier, ZoneIndex zidx,
-                    const storage::RangeQuery& q, Hop&& hop,
-                    LeafFn&& on_leaf) const;
-
-  /// Routes `q` from `sink` to its enclosing zone and walks the split
-  /// tree from there with reliable legs (query and aggregate).
+  /// DIM's query tree for several queries at once (range batches, and
+  /// aggregates as a batch of one). Each member is routed from `sink` to
+  /// the deepest zone enclosing it, then split toward every overlapping
+  /// leaf with reliable `send_resolved` legs; a leg is shared by the
+  /// members it carries from one node into one zone. `on_leaf(leaf,
+  /// served)` runs once per reached leaf with the members its owner
+  /// received, in each member's serial visit order. Returns the forwarding
+  /// cost issuing each member alone would have charged.
   template <typename LeafFn>
-  void disseminate(net::NodeId sink, const storage::RangeQuery& q,
-                   LeafFn&& on_leaf);
+  std::uint64_t disseminate(net::NodeId sink,
+                            const std::vector<storage::RangeQuery>& qs,
+                            LeafFn&& on_leaf);
 
   /// Skyline and k-NN visit leaves one at a time: the sink addresses
   /// `leaf`'s owner, which reduces its residents with `reduce` into
@@ -121,7 +120,6 @@ class DimSystem final : public storage::DcsSystem {
                    storage::ResultReceipt& receipt);
 
   net::Network& net_;
-  const routing::Router& router_;
 
   storage::Legs legs_;
 

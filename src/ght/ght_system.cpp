@@ -1,8 +1,10 @@
 #include "ght/ght_system.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <queue>
+#include <utility>
 
 #include "common/error.h"
 
@@ -180,45 +182,7 @@ std::size_t GhtSystem::flood_collect(net::NodeId sink, bool partial,
 }
 
 QueryReceipt GhtSystem::query(net::NodeId sink, const RangeQuery& q) {
-  if (q.dims() != dims_)
-    throw ConfigError("GHT: query dimensionality mismatch");
-
-  QueryReceipt receipt;
-  const auto before = net_.traffic();
-  std::vector<Event> matched;
-
-  if (q.type() == storage::QueryType::ExactMatchPoint) {
-    // Hash the queried point; only its home node can hold exact matches.
-    // A dead home is evicted from the cache and the probe retries once
-    // toward the re-homed survivor (which holds nothing for this key).
-    storage::Values point;
-    for (std::size_t d = 0; d < dims_; ++d) point.push_back(q.bound(d).lo);
-    const net::NodeId home = legs_.send_resolved(
-        sink, [&] { return home_node(point); }, net::MessageKind::Query,
-        net_.sizes().query_bits(dims_));
-    if (home != net::kNoNode) {
-      receipt.index_nodes_visited = 1;
-      store_[home].matching_into(q, matched);
-      if (matched.empty() || legs_.reply(home, sink, matched.size()))
-        receipt.events = std::move(matched);
-    }
-  } else {
-    // No value locality: flood, then every holder replies directly.
-    flood_collect(
-        sink, false, receipt,
-        [&](const storage::column::ColumnStore& cs) {
-          matched.clear();
-          cs.matching_into(q, matched);
-          return matched.size();
-        },
-        [&] {
-          receipt.events.insert(receipt.events.end(), matched.begin(),
-                                matched.end());
-        });
-  }
-
-  receipt.cost() = storage::cost_of(net_.traffic() - before);
-  return receipt;
+  return batch_of_one(sink, q);
 }
 
 QueryReceipt GhtSystem::skyline(net::NodeId sink,
@@ -312,83 +276,88 @@ storage::AggregateReceipt GhtSystem::aggregate(net::NodeId sink,
 
 storage::BatchQueryReceipt GhtSystem::query_batch(
     net::NodeId sink, const std::vector<RangeQuery>& queries) {
-  if (queries.size() < 2) return DcsSystem::query_batch(sink, queries);
   for (const RangeQuery& q : queries)
     if (q.dims() != dims_)
       throw ConfigError("GHT: query dimensionality mismatch");
-  // With dead nodes around, the merged probe's cost accounting and
-  // pre-computed legs no longer hold; fall back to hardened serial
-  // execution (which retries and fails over per leg).
-  if (net_.has_failures()) return DcsSystem::query_batch(sink, queries);
 
   storage::BatchQueryReceipt batch;
   batch.per_query.resize(queries.size());
-  const auto before = net_.traffic();
+  const auto mark = legs_.mark();
   const auto& sizes = net_.sizes();
   std::uint64_t serial_cost = 0;
 
-  // One pass over a holder's store serves every member query: appends
-  // each member's matches to its result and counts them, and returns the
-  // number of distinct rows any member matched (what travels back).
-  std::vector<std::uint32_t> member_found;
+  // A holder serves every member with one column-kernel scan each; a
+  // bitmap counts the distinct rows any member matched, which is what
+  // travels back.
+  std::vector<std::vector<Event>> found(queries.size());  // this holder
+  std::vector<char> answered;                             // this holder, per row
   const auto collect = [&](const storage::column::ColumnStore& cs,
                            const std::vector<std::size_t>& members) {
-    member_found.assign(members.size(), 0);
-    std::uint32_t distinct = 0;
-    for (std::size_t row = 0; row < cs.size(); ++row) {
-      bool any = false;
-      Event e;
-      for (std::size_t mi = 0; mi < members.size(); ++mi) {
-        if (!cs.row_matches(queries[members[mi]], row)) continue;
-        if (!any) e = cs.event_at(row);
-        any = true;
-        ++member_found[mi];
-        batch.per_query[members[mi]].events.push_back(e);
-      }
-      if (any) ++distinct;
+    answered.assign(cs.size(), 0);
+    std::uint64_t distinct = 0;
+    for (const std::size_t m : members) {
+      found[m].clear();
+      cs.scan(queries[m], false, [&](std::size_t row) {
+        found[m].push_back(cs.event_at(row));
+        if (!std::exchange(answered[row], 1)) ++distinct;
+      });
     }
     return distinct;
   };
-  // Serial execution would have sent each member its own reply batches.
-  const auto serial_replies = [&] {
-    for (const std::uint32_t n : member_found)
-      serial_cost += sizes.reply_batches(n) * legs_.route().hops();
+  // Once the holder's reply arrives its members' events join their
+  // results; serial issue would have sent each member its own batches.
+  const auto deliver = [&](const std::vector<std::size_t>& members) {
+    for (const std::size_t m : members) {
+      if (found[m].empty()) continue;
+      serial_cost += sizes.reply_batches(found[m].size()) * legs_.route().hops();
+      auto& events = batch.per_query[m].events;
+      events.insert(events.end(), found[m].begin(), found[m].end());
+    }
   };
 
-  std::vector<std::size_t> points, floods;
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    (queries[qi].type() == storage::QueryType::ExactMatchPoint ? points
-                                                               : floods)
-        .push_back(qi);
-  }
-
-  // Point queries: probes to the same home node merge into one. The
-  // home reply carries the distinct matches of every asker.
+  // Point queries hash to their home node; probes to a home this batch
+  // already reached join its group. A dead home is evicted by failover
+  // and the probe retries once toward the re-homed survivor.
   struct HomeGroup {
     net::NodeId home;
+    std::uint64_t hops;  ///< of the probe that reached it
     std::vector<std::size_t> members;
   };
   std::vector<HomeGroup> groups;
-  std::unordered_map<net::NodeId, std::size_t> group_at;
-  for (const std::size_t qi : points) {
+  const auto group_at = [&](net::NodeId home) {
+    return std::find_if(groups.begin(), groups.end(),
+                        [&](const HomeGroup& g) { return g.home == home; });
+  };
+  std::vector<std::size_t> floods;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    if (queries[qi].type() != storage::QueryType::ExactMatchPoint) {
+      floods.push_back(qi);
+      continue;
+    }
     storage::Values point;
     for (std::size_t d = 0; d < dims_; ++d)
       point.push_back(queries[qi].bound(d).lo);
-    const net::NodeId home = home_node(point);
-    const auto [it, fresh] = group_at.try_emplace(home, groups.size());
-    if (fresh) groups.push_back({home, {}});
-    groups[it->second].members.push_back(qi);
+    auto g = group_at(home_node(point));
+    if (g == groups.end()) {
+      const net::NodeId home = legs_.send_resolved(
+          sink, [&] { return home_node(point); }, net::MessageKind::Query,
+          sizes.query_bits(dims_));
+      if (home == net::kNoNode) continue;
+      g = group_at(home);
+      if (g == groups.end())
+        g = groups.insert(g, {home, legs_.route().hops(), {}});
+    }
+    serial_cost += g->hops;
+    g->members.push_back(qi);
   }
   for (const HomeGroup& g : groups) {
-    legs_.send(sink, g.home, net::MessageKind::Query, sizes.query_bits(dims_));
-    serial_cost += g.members.size() * legs_.route().hops();
     ++batch.unique_cell_visits;
     ++batch.index_nodes_visited;
     batch.serial_cell_visits += g.members.size();
-    const std::uint32_t distinct = collect(store_[g.home], g.members);
     for (const std::size_t qi : g.members)
       batch.per_query[qi].index_nodes_visited = 1;
-    if (distinct > 0 && legs_.reply(g.home, sink, distinct)) serial_replies();
+    const std::uint64_t distinct = collect(store_[g.home], g.members);
+    if (distinct == 0 || legs_.reply(g.home, sink, distinct)) deliver(g.members);
   }
 
   // Range/partial queries: one flood serves every member — serial
@@ -397,24 +366,18 @@ storage::BatchQueryReceipt GhtSystem::query_batch(
     const std::size_t reached = flood_collect(
         sink, false, batch,
         [&](const storage::column::ColumnStore& cs) {
-          const std::uint32_t distinct = collect(cs, floods);
-          for (std::size_t mi = 0; mi < floods.size(); ++mi)
-            if (member_found[mi] > 0)
-              ++batch.per_query[floods[mi]].index_nodes_visited;
+          const std::uint64_t distinct = collect(cs, floods);
+          for (const std::size_t m : floods)
+            if (!found[m].empty()) ++batch.per_query[m].index_nodes_visited;
           batch.serial_cell_visits += floods.size();
           ++batch.unique_cell_visits;
           return distinct;
         },
-        serial_replies);
-    serial_cost += floods.size() * static_cast<std::uint64_t>(reached - 1);
+        [&] { deliver(floods); });
+    if (reached > 0) serial_cost += floods.size() * (reached - 1);
   }
 
-  const auto delta = net_.traffic() - before;
-  batch.cost() = storage::cost_of(delta);
-  if (net_.loss_model().loss_probability == 0.0 && net_.extra_loss() == 0.0)
-    POOLNET_ASSERT(serial_cost >= delta.total);
-  batch.messages_saved =
-      serial_cost >= delta.total ? serial_cost - delta.total : 0;
+  legs_.settle(mark, serial_cost, batch);
   return batch;
 }
 

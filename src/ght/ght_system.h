@@ -70,11 +70,12 @@ class GhtSystem final : public storage::DcsSystem {
   storage::QueryReceipt k_nearest(
       net::NodeId sink, const storage::KNearestQuery& query) override;
 
-  /// Merged multi-query execution: point queries hashing to the same home
-  /// node share one probe, all range/partial queries in the batch share a
-  /// SINGLE network flood, and every answering node replies once with the
-  /// distinct matching events of all askers. Per-query results are
-  /// identical to serial query() calls (DESIGN.md §8).
+  /// Merged multi-query execution (query() is a batch of one): point
+  /// queries reaching the same home node share one probe, all
+  /// range/partial queries in the batch share a SINGLE network flood, and
+  /// every answering node replies once with the distinct matching events
+  /// of all askers. Per-query results are identical to issuing each query
+  /// alone (DESIGN.md §8).
   storage::BatchQueryReceipt query_batch(
       net::NodeId sink,
       const std::vector<storage::RangeQuery>& queries) override;

@@ -181,16 +181,6 @@ class ColumnStore {
     }
   }
 
-  /// Scalar single-row predicate — exactly RangeQuery::matches against the
-  /// stored columns (union re-scans, equivalence tests).
-  bool row_matches(const RangeQuery& q, std::size_t row) const {
-    const auto& bounds = q.bounds();
-    for (std::size_t d = 0; d < dims_; ++d) {
-      if (!bounds[d].contains(cols_[d][row])) return false;
-    }
-    return true;
-  }
-
   /// Append every matching event to `out` (scratch-friendly; no clear).
   void matching_into(const RangeQuery& q, std::vector<Event>& out) const {
     scan(q, false, [&](std::size_t row) { out.push_back(event_at(row)); });

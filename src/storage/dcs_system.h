@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -107,10 +108,11 @@ struct BatchQueryReceipt : ResultReceipt {
   std::size_t unique_cell_visits = 0;  ///< deduped visits actually made
 
   /// Per-hop transmissions a serial per-query execution would have
-  /// charged, minus what the merged execution charged. Exact on ideal
-  /// links (computed from the hop counts of the very routes the merged
-  /// walk uses); clamped at 0 under link loss, where retransmission
-  /// draws make the comparison stochastic.
+  /// charged, minus what the merged execution charged, priced from the
+  /// hop counts of the legs the merged walk took. Exact when the batch
+  /// ran on loss-free links and saw no retry, failed leg or failover;
+  /// clamped at 0 otherwise, where retransmissions and repairs make the
+  /// comparison inexact (see Legs::settle).
   std::uint64_t messages_saved = 0;
 };
 
@@ -122,6 +124,8 @@ struct FaultStats {
   std::uint64_t events_restored = 0;  ///< re-materialized from surviving mirrors
   std::uint64_t retries = 0;          ///< delivery retries after ack timeouts
   std::uint64_t failed_legs = 0;      ///< messages abandoned after the retry budget
+
+  bool operator==(const FaultStats&) const = default;
 };
 
 /// A deployed DCS system bound to a Network. insert() stores a detected
@@ -224,6 +228,16 @@ class DcsSystem {
   virtual const column::ScanStats* scan_stats() const { return nullptr; }
 
  protected:
+  /// query() for systems whose merged batch walk is their only range
+  /// path: a batch of one, returned as its member's events and visits
+  /// with the batch's cost triple.
+  QueryReceipt batch_of_one(net::NodeId sink, const RangeQuery& query) {
+    BatchQueryReceipt batch = query_batch(sink, {query});
+    QueryReceipt receipt = std::move(batch.per_query.front());
+    receipt.cost() = batch.cost();
+    return receipt;
+  }
+
   FaultStats fault_stats_;
 };
 

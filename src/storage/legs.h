@@ -13,6 +13,7 @@
 //    the sender tries once more toward the new election.
 //  * reply() / reply_partial(): a reply packed into MessageSizes batches;
 //    the first batch travels reliably and the rest replay its acked route.
+//  * mark() / settle(): a merged batch's cost triple and messages_saved.
 //
 // On a fully-alive network every leg is exactly one route plus one
 // transmit_path, so fault-free ledgers are the bare-route ledgers.
@@ -63,6 +64,27 @@ class Legs {
   /// Route of the last leg (the acked one after a delivered send).
   const routing::RouteResult& route() const { return out_.route; }
 
+  /// The ledger, fault counters and leg overhead when a merged batch
+  /// began.
+  struct Mark {
+    net::TrafficTally traffic;
+    FaultStats faults;
+    std::uint64_t overhead = 0;
+  };
+  Mark mark() const { return {net_.traffic(), stats_, overhead_}; }
+
+  /// Closes a merged batch begun at `mark`: charges `batch` the ledger
+  /// delta and sets messages_saved to what issuing each member alone
+  /// would have charged minus that charge. `serial` prices every leg the
+  /// walk took from its acked route's hop count, once per member it
+  /// carried; the legs' overhead since `mark` (failed attempts, probes,
+  /// failover repairs) is added once, as the first serial member to meet
+  /// a dead node pays it too. On loss-free links with no retry, failed
+  /// leg or failover during the batch the difference is exact and
+  /// asserted non-negative; otherwise it is clamped at 0.
+  void settle(const Mark& mark, std::uint64_t serial,
+              BatchQueryReceipt& batch) const;
+
  private:
   bool packed(net::NodeId from, net::NodeId to, std::uint64_t batches,
               std::uint64_t bits);
@@ -74,6 +96,8 @@ class Legs {
   FaultStats& stats_;
   /// Reused by every leg so a warm system sends without heap traffic.
   routing::LegOutcome out_;
+  /// Messages legs charged beyond their acked routes (see settle).
+  std::uint64_t overhead_ = 0;
 };
 
 }  // namespace poolnet::storage

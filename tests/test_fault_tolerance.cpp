@@ -446,40 +446,69 @@ TEST(Failover, PoolKnnNeverAnswersFromSilentlyDeadHolders) {
             sorted_ids(tb.pool().query(sink, whole_space()).events));
 }
 
-// Batching under faults: on two identical deployments after the same
-// silent kill, query_batch returns per-query results identical to serial
-// execute() calls, for Pool, DIM and GHT.
-TEST(OnlineFaults, BatchAfterKillMatchesSerialExecute) {
-  struct Twin {
-    explicit Twin(const benchsup::TestbedConfig& config) : tb(config) {
-      tb.insert_workload();
-      const auto pts = tb.pool_network().positions();
-      ght_net = std::make_unique<Network>(
-          std::vector<Point>(pts.begin(), pts.end()),
-          tb.pool_network().field(), 40.0);
-      ght_gpsr = std::make_unique<routing::Gpsr>(*ght_net);
-      ght = std::make_unique<ght::GhtSystem>(*ght_net, *ght_gpsr, 3);
-      for (const auto& e : tb.oracle().all()) ght->insert(e.source, e);
-      Rng rng(99);
-      for (NodeId id = 0; id < ght_net->size(); ++id) {
-        if (rng.uniform() >= 0.15) continue;
-        tb.pool_network().kill(id);
-        tb.dim_network().kill(id);
-        ght_net->kill(id);
-      }
+/// Pool, DIM and GHT over one testbed's positions and events; `kill`
+/// silently kills the same ~15% of the nodes on all three networks.
+struct Twin {
+  explicit Twin(const benchsup::TestbedConfig& config) : tb(config) {
+    tb.insert_workload();
+    const auto pts = tb.pool_network().positions();
+    ght_net = std::make_unique<Network>(
+        std::vector<Point>(pts.begin(), pts.end()), tb.pool_network().field(),
+        40.0);
+    ght_gpsr = std::make_unique<routing::Gpsr>(*ght_net);
+    ght = std::make_unique<ght::GhtSystem>(*ght_net, *ght_gpsr, 3);
+    for (const auto& e : tb.oracle().all()) ght->insert(e.source, e);
+  }
+  void kill() {
+    Rng rng(99);
+    for (NodeId id = 0; id < ght_net->size(); ++id) {
+      if (rng.uniform() >= 0.15) continue;
+      tb.pool_network().kill(id);
+      tb.dim_network().kill(id);
+      ght_net->kill(id);
     }
-    std::vector<storage::DcsSystem*> systems() {
-      return {&tb.pool(), &tb.dim(), ght.get()};
-    }
-    benchsup::Testbed tb;
-    std::unique_ptr<Network> ght_net;
-    std::unique_ptr<routing::Gpsr> ght_gpsr;
-    std::unique_ptr<ght::GhtSystem> ght;
-  };
+  }
+  std::vector<storage::DcsSystem*> systems() {
+    return {&tb.pool(), &tb.dim(), ght.get()};
+  }
+  std::vector<Network*> networks() {
+    return {&tb.pool_network(), &tb.dim_network(), ght_net.get()};
+  }
+  benchsup::Testbed tb;
+  std::unique_ptr<Network> ght_net;
+  std::unique_ptr<routing::Gpsr> ght_gpsr;
+  std::unique_ptr<ght::GhtSystem> ght;
+};
+
+benchsup::TestbedConfig twin_config() {
   benchsup::TestbedConfig config;
   config.nodes = 250;
   config.seed = 21;
-  Twin batched(config), serial(config);
+  return config;
+}
+
+/// Three exact ranges, three 1-partial ranges, a point query on a stored
+/// event and a repeat of the first range.
+std::vector<RangeQuery> batch_of_eight(query::QueryGenerator& qgen,
+                                       const storage::Event& e) {
+  std::vector<RangeQuery> qs;
+  for (int j = 0; j < 3; ++j) qs.push_back(qgen.exact_range());
+  for (int j = 0; j < 3; ++j) qs.push_back(qgen.partial_range(1));
+  RangeQuery::Bounds b;
+  for (const double v : e.values) b.push_back({v, v});
+  qs.push_back(RangeQuery(b));
+  qs.push_back(qs[0]);
+  return qs;
+}
+
+// Batching under faults: on two identical deployments after the same
+// silent kill, query_batch returns per-query results and visit counts
+// identical to serial execute() calls, for Pool, DIM and GHT — and still
+// merges (the repeated query alone saves messages).
+TEST(OnlineFaults, BatchAfterKillMatchesSerialExecute) {
+  Twin batched(twin_config()), serial(twin_config());
+  batched.kill();
+  serial.kill();
   ASSERT_TRUE(batched.ght_net->has_failures());
 
   query::QueryGenerator qgen({.dims = 3}, 31);
@@ -488,22 +517,71 @@ TEST(OnlineFaults, BatchAfterKillMatchesSerialExecute) {
   for (int round = 0; round < 3; ++round) {
     NodeId sink = batched.tb.random_node(sink_rng);
     while (!batched.ght_net->alive(sink)) sink = (sink + 1) % 250;
-    std::vector<RangeQuery> qs;
-    for (int j = 0; j < 3; ++j) qs.push_back(qgen.exact_range());
-    for (int j = 0; j < 3; ++j) qs.push_back(qgen.partial_range(1));
-    RangeQuery::Bounds b;
-    for (const double v : events[round * 97].values) b.push_back({v, v});
-    qs.push_back(RangeQuery(b));
-    qs.push_back(qs[0]);
+    const std::vector<RangeQuery> qs =
+        batch_of_eight(qgen, events[round * 97]);
 
     const auto a = batched.systems();
     const auto s = serial.systems();
     for (std::size_t sys = 0; sys < a.size(); ++sys) {
       const auto batch = a[sys]->query_batch(sink, qs);
       ASSERT_EQ(batch.per_query.size(), qs.size());
-      for (std::size_t j = 0; j < qs.size(); ++j)
-        EXPECT_EQ(batch.per_query[j].events, s[sys]->execute(sink, qs[j]).events)
+      EXPECT_GT(batch.messages_saved, 0u)
+          << a[sys]->name() << " round " << round << " did not merge";
+      for (std::size_t j = 0; j < qs.size(); ++j) {
+        const auto one = s[sys]->execute(sink, qs[j]);
+        EXPECT_EQ(batch.per_query[j].events, one.events)
             << a[sys]->name() << " round " << round << " query " << j;
+        EXPECT_EQ(batch.per_query[j].index_nodes_visited,
+                  one.index_nodes_visited)
+            << a[sys]->name() << " round " << round << " query " << j;
+      }
+    }
+  }
+}
+
+// A range query is a batch of one: query_batch(sink, {q}) and query(sink,
+// q) on twin deployments return the same events, cost triple and visits
+// and charge every node the same tx/rx, fault-free and after a kill.
+TEST(OnlineFaults, BatchOfOneEqualsQuery) {
+  for (const bool faults : {false, true}) {
+    Twin batched(twin_config()), single(twin_config());
+    if (faults) {
+      batched.kill();
+      single.kill();
+    }
+    query::QueryGenerator qgen({.dims = 3}, 41);
+    Rng sink_rng(42);
+    const auto& events = batched.tb.oracle().all();
+    for (int round = 0; round < 2; ++round) {
+      NodeId sink = batched.tb.random_node(sink_rng);
+      while (!batched.ght_net->alive(sink)) sink = (sink + 1) % 250;
+      const auto a = batched.systems();
+      const auto s = single.systems();
+      const auto an = batched.networks();
+      const auto sn = single.networks();
+      for (const RangeQuery& q : batch_of_eight(qgen, events[round * 89])) {
+        for (std::size_t sys = 0; sys < a.size(); ++sys) {
+          const auto batch = a[sys]->query_batch(sink, {q});
+          const auto one = s[sys]->query(sink, q);
+          ASSERT_EQ(batch.per_query.size(), 1u);
+          const std::string where = a[sys]->name() +
+                                    (faults ? " after kill" : " fault-free");
+          EXPECT_EQ(batch.per_query[0].events, one.events) << where;
+          EXPECT_EQ(batch.messages, one.messages) << where;
+          EXPECT_EQ(batch.query_messages, one.query_messages) << where;
+          EXPECT_EQ(batch.reply_messages, one.reply_messages) << where;
+          EXPECT_EQ(batch.per_query[0].index_nodes_visited,
+                    one.index_nodes_visited)
+              << where;
+          EXPECT_EQ(batch.messages_saved, 0u) << where;
+          for (NodeId id = 0; id < an[sys]->size(); ++id) {
+            ASSERT_EQ(an[sys]->node(id).tx_count, sn[sys]->node(id).tx_count)
+                << where << " node " << id;
+            ASSERT_EQ(an[sys]->node(id).rx_count, sn[sys]->node(id).rx_count)
+                << where << " node " << id;
+          }
+        }
+      }
     }
   }
 }
@@ -537,6 +615,29 @@ TEST(OnlineFaults, TwentyPercentMidRunKillKeepsAllSystemsAnswering) {
   EXPECT_GE(failovers, 1u) << "a 20% cut must trigger failover somewhere";
   EXPECT_NE(out.str().find("recall"), std::string::npos)
       << "fault columns missing from the report";
+}
+
+// Recall compares ids with the full-data oracle. Under a kill, losing
+// skyline points uncovers the points they dominated; those extra answers
+// are not oracle answers and must not lift recall above 1.
+TEST(OnlineFaults, SkylineAndMixRecallNeverExceedsOneUnderKill) {
+  for (const auto mix :
+       {query::QueryClassMix::Skyline, query::QueryClassMix::Mix}) {
+    cli::CliConfig config;
+    config.systems = {cli::SystemChoice::Pool};
+    config.nodes = 300;
+    config.queries = 40;
+    config.query_class = mix;
+    config.threads = 1;
+    std::string err;
+    ASSERT_TRUE(sim::parse_fault_spec("kill:0.2@10", &config.faults, &err));
+
+    std::ostringstream out;
+    const auto rows = cli::run_experiment(config, out);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_LE(rows[0].recall, 1.0) << query::to_string(mix);
+    EXPECT_GT(rows[0].recall, 0.5) << query::to_string(mix);
+  }
 }
 
 TEST(OnlineFaults, NeverFiringPlanIsByteIdenticalToDisabled) {
