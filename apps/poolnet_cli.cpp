@@ -17,26 +17,20 @@ using namespace poolnet;
 namespace {
 
 bool parse_systems(const std::string& raw,
-                   std::vector<cli::SystemChoice>* out, std::string* error) {
+                   std::vector<benchsup::SystemKind>* out, std::string* error) {
   std::size_t start = 0;
   while (start <= raw.size()) {
     const auto comma = raw.find(',', start);
     const std::string token =
         raw.substr(start, comma == std::string::npos ? raw.size() - start
                                                      : comma - start);
-    if (token == "pool") {
-      out->push_back(cli::SystemChoice::Pool);
-    } else if (token == "dim") {
-      out->push_back(cli::SystemChoice::Dim);
-    } else if (token == "ght") {
-      out->push_back(cli::SystemChoice::Ght);
-    } else if (token == "central") {
-      out->push_back(cli::SystemChoice::Central);
-    } else if (token == "all") {
-      *out = {cli::SystemChoice::Pool, cli::SystemChoice::Dim,
-              cli::SystemChoice::Ght, cli::SystemChoice::Central};
+    benchsup::SystemKind kind;
+    if (token == "all") {
+      out->assign(benchsup::kAllSystems.begin(), benchsup::kAllSystems.end());
+    } else if (benchsup::parse_system_kind(token, &kind, error)) {
+      out->push_back(kind);
     } else {
-      *error = "--systems: unknown system '" + token + "'";
+      *error = "--systems: " + *error;
       return false;
     }
     if (comma == std::string::npos) break;
@@ -191,7 +185,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "CORRECTNESS VIOLATION: %s mismatched the oracle on "
                      "%zu queries\n",
-                     cli::to_string(r.system), r.mismatches);
+                     benchsup::to_string(r.system), r.mismatches);
         return 1;
       }
     }

@@ -1,4 +1,4 @@
-// poolnetd — serve a deployed Pool/DIM/GHT testbed over TCP.
+// poolnetd — serve a deployed Pool/DIM/GHT/central testbed over TCP.
 //
 //   $ poolnetd --system pool --nodes 300 --batch 16 --port 7632
 //   poolnetd: pool over 300 nodes (900 events), engine batch=16
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   obs::TelemetryConfig telemetry;
   if (!port || !nodes || !dims || !epn || !seed || !inflight || !pending ||
       !flush_us ||
-      !server::parse_system_kind(parser.option("system"),
+      !benchsup::parse_system_kind(parser.option("system"),
                                  &config.backend.system, &error) ||
       !cli::parse_engine_options(parser, &config.backend.engine, &error) ||
       !cli::parse_telemetry_options(parser, &telemetry, &error) ||
@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
     server::Server server(config);
     server.start();
     std::printf("poolnetd: %s over %zu nodes (%llu events), engine batch=%zu\n",
-                server::to_string(config.backend.system), config.backend.nodes,
+                benchsup::to_string(config.backend.system),
+                config.backend.nodes,
                 static_cast<unsigned long long>(
                     server.backend().preloaded_events()),
                 std::max<std::size_t>(1, config.backend.engine.batch_size));

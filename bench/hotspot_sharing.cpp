@@ -42,11 +42,11 @@ Outcome run(bool sharing, std::uint32_t threshold, std::uint64_t seed,
   tb.insert_workload();
 
   Outcome out;
-  out.insert_msgs = tb.pool_insert_traffic().total;
+  out.insert_msgs = tb.insert_traffic(SystemKind::Pool).total;
   // The per-node tally goes through the shared hotspot report — the same
   // max/p99/Gini every other surface (CLI --metrics, testbed scrape) uses.
   std::vector<std::uint64_t> loads;
-  for (const auto& node : tb.pool_network().nodes())
+  for (const auto& node : tb.network(SystemKind::Pool).nodes())
     loads.push_back(node.stored_events);
   out.load = obs::load_report(loads);
 

@@ -49,10 +49,12 @@ int main(int argc, char** argv) {
         Testbed tb(config);
         SeedRun out;
         out.events = tb.insert_workload();
-        out.pool_msgs = static_cast<double>(tb.pool_insert_traffic().total);
-        out.dim_msgs = static_cast<double>(tb.dim_insert_traffic().total);
-        out.pool_energy = tb.pool_insert_traffic().energy_j;
-        out.dim_energy = tb.dim_insert_traffic().energy_j;
+        out.pool_msgs =
+            static_cast<double>(tb.insert_traffic(SystemKind::Pool).total);
+        out.dim_msgs =
+            static_cast<double>(tb.insert_traffic(SystemKind::Dim).total);
+        out.pool_energy = tb.insert_traffic(SystemKind::Pool).energy_j;
+        out.dim_energy = tb.insert_traffic(SystemKind::Dim).energy_j;
         return out;
       });
 

@@ -25,6 +25,7 @@
 namespace {
 
 using namespace poolnet;
+using benchsup::SystemKind;
 
 benchsup::Testbed& shared_testbed() {
   static benchsup::Testbed tb = [] {
@@ -88,11 +89,12 @@ BENCHMARK(BM_DimLeavesOverlapping);
 
 void BM_GpsrRouteAcrossField(benchmark::State& state) {
   auto& tb = shared_testbed();
-  const auto src = tb.pool_network().nearest_node({0, 0});
-  const auto dst = tb.pool_network().nearest_node(
-      {tb.pool_network().field().max_x, tb.pool_network().field().max_y});
+  const auto src = tb.network(SystemKind::Pool).nearest_node({0, 0});
+  const auto dst = tb.network(SystemKind::Pool).nearest_node(
+      {tb.network(SystemKind::Pool).field().max_x,
+       tb.network(SystemKind::Pool).field().max_y});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tb.pool_gpsr().route_to_node(src, dst));
+    benchmark::DoNotOptimize(tb.gpsr(SystemKind::Pool).route_to_node(src, dst));
   }
 }
 BENCHMARK(BM_GpsrRouteAcrossField);
@@ -105,10 +107,11 @@ void BM_CachedRouteAcrossField(benchmark::State& state) {
   auto& tb = shared_testbed();
   routing::RouteCacheConfig cfg;
   cfg.max_hops = 0;
-  const routing::RouteCache cache(tb.pool_gpsr(), cfg);
-  const auto src = tb.pool_network().nearest_node({0, 0});
-  const auto dst = tb.pool_network().nearest_node(
-      {tb.pool_network().field().max_x, tb.pool_network().field().max_y});
+  const routing::RouteCache cache(tb.gpsr(SystemKind::Pool), cfg);
+  const auto src = tb.network(SystemKind::Pool).nearest_node({0, 0});
+  const auto dst = tb.network(SystemKind::Pool).nearest_node(
+      {tb.network(SystemKind::Pool).field().max_x,
+       tb.network(SystemKind::Pool).field().max_y});
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.route_to_node(src, dst));
   }
@@ -122,10 +125,11 @@ void BM_CachedRouteIntoScratch(benchmark::State& state) {
   auto& tb = shared_testbed();
   routing::RouteCacheConfig cfg;
   cfg.max_hops = 0;
-  const routing::RouteCache cache(tb.pool_gpsr(), cfg);
-  const auto src = tb.pool_network().nearest_node({0, 0});
-  const auto dst = tb.pool_network().nearest_node(
-      {tb.pool_network().field().max_x, tb.pool_network().field().max_y});
+  const routing::RouteCache cache(tb.gpsr(SystemKind::Pool), cfg);
+  const auto src = tb.network(SystemKind::Pool).nearest_node({0, 0});
+  const auto dst = tb.network(SystemKind::Pool).nearest_node(
+      {tb.network(SystemKind::Pool).field().max_x,
+       tb.network(SystemKind::Pool).field().max_y});
   routing::RouteResult scratch;
   for (auto _ : state) {
     cache.route_to_node_into(src, dst, scratch);
@@ -160,7 +164,7 @@ BENCHMARK(BM_PathBufferPooled);
 
 void BM_WithinScanReturning(benchmark::State& state) {
   // Radius scan materializing a fresh result vector per call.
-  auto& net = shared_testbed().pool_network();
+  auto& net = shared_testbed().network(SystemKind::Pool);
   const Point center{net.field().width() / 2, net.field().height() / 2};
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.nodes_within(center, 80.0));
@@ -171,7 +175,7 @@ BENCHMARK(BM_WithinScanReturning);
 void BM_WithinScanIntoScratch(benchmark::State& state) {
   // The out-parameter form over the same index: the scratch vector's
   // capacity survives across calls, so a warm scan never allocates.
-  auto& net = shared_testbed().pool_network();
+  auto& net = shared_testbed().network(SystemKind::Pool);
   std::vector<Point> points;
   for (net::NodeId n = 0; n < net.size(); ++n)
     points.push_back(net.position(n));

@@ -91,8 +91,10 @@ SweepOutcome run_sweep(std::size_t threads,
             kQueriesPerSeed, [&] { return qgen.exact_range(); });
         SeedRun out;
         out.run = run_paired_queries(tb, queries, j.seed * 7 + 1);
-        if (tb.pool_route_cache()) out.pool_cache = tb.pool_route_cache()->stats();
-        if (tb.dim_route_cache()) out.dim_cache = tb.dim_route_cache()->stats();
+        if (const auto* c = tb.route_cache(SystemKind::Pool))
+          out.pool_cache = c->stats();
+        if (const auto* c = tb.route_cache(SystemKind::Dim))
+          out.dim_cache = c->stats();
         return out;
       });
   const auto end = std::chrono::steady_clock::now();
@@ -455,10 +457,12 @@ HotspotProbe run_hotspot_probe() {
   out.snap = scrape_testbed(tb);
   // insert_workload() captures and then clears the traffic ledgers, so
   // fold the captured insert tallies back into the snapshot.
-  out.snap.counters["pool.net.messages"] += tb.pool_insert_traffic().total;
-  out.snap.counters["dim.net.messages"] += tb.dim_insert_traffic().total;
-  out.snap.gauges["pool.net.energy_j"] += tb.pool_insert_traffic().energy_j;
-  out.snap.gauges["dim.net.energy_j"] += tb.dim_insert_traffic().energy_j;
+  const net::TrafficTally pool_in = tb.insert_traffic(SystemKind::Pool);
+  const net::TrafficTally dim_in = tb.insert_traffic(SystemKind::Dim);
+  out.snap.counters["pool.net.messages"] += pool_in.total;
+  out.snap.counters["dim.net.messages"] += dim_in.total;
+  out.snap.gauges["pool.net.energy_j"] += pool_in.energy_j;
+  out.snap.gauges["dim.net.energy_j"] += dim_in.energy_j;
   out.pool_gini = out.snap.gauges["pool.storage.load.gini_loaded"];
   out.dim_gini = out.snap.gauges["dim.storage.load.gini_loaded"];
   out.pool_max_load = out.snap.gauges["pool.storage.load.max"];

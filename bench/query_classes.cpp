@@ -11,19 +11,16 @@
 // (BENCH_query_classes.json; scripts/merge_perf_section.py folds it into
 // BENCH_perf.json behind scripts/check_perf_regression.py).
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_support/experiment.h"
 #include "bench_support/testbed.h"
 #include "cli/args.h"
-#include "ght/ght_system.h"
-#include "net/deployment.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
 #include "sim/stats.h"
 #include "storage/query_request.h"
 
@@ -37,9 +34,17 @@ struct ClassStats {
   sim::RunningStat results;
 };
 
+/// The compared systems, in report order, all on one deployment.
+constexpr std::array<benchsup::SystemKind, 3> kSystems = {
+    benchsup::SystemKind::Pool, benchsup::SystemKind::Dim,
+    benchsup::SystemKind::Ght};
+
 struct ClassRow {
-  ClassStats pool, dim, ght;
+  std::array<ClassStats, kSystems.size()> stats;  ///< kSystems order
   std::size_t mismatches = 0;  ///< result sets differing from the kernel
+
+  const ClassStats& pool() const { return stats[0]; }
+  const ClassStats& ght() const { return stats[2]; }
 };
 
 /// The canonical answer: the local kernel over everything the oracle
@@ -134,28 +139,9 @@ int main(int argc, char** argv) {
     config.nodes = static_cast<std::size_t>(*nodes);
     config.dims = k;
     config.seed = seed;
+    config.systems.assign(kSystems.begin(), kSystems.end());
     benchsup::Testbed tb(config);
     tb.insert_workload();
-
-    // GHT rides its own deployment of the same size (like Pool and DIM it
-    // must not share a traffic ledger with the others).
-    std::unique_ptr<net::Network> ght_net;
-    const double side =
-        net::field_side_for_density(config.nodes, 40.0, 20.0);
-    const Rect field{0, 0, side, side};
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      Rng rng(seed * 977 + attempt * 7919 + 3);
-      auto pts = net::deploy_uniform(config.nodes, field, rng);
-      auto candidate =
-          std::make_unique<net::Network>(std::move(pts), field, 40.0);
-      if (candidate->is_connected()) {
-        ght_net = std::move(candidate);
-        break;
-      }
-    }
-    routing::Gpsr ght_gpsr(*ght_net);
-    ght::GhtSystem ght(*ght_net, ght_gpsr, k);
-    for (const storage::Event& e : tb.oracle().all()) ght.insert(e.source, e);
 
     Rng sink_rng(seed * 5 + 13);
     for (std::size_t c = 0; c < kClasses.size(); ++c) {
@@ -168,16 +154,13 @@ int main(int argc, char** argv) {
         const net::NodeId sink = tb.random_node(sink_rng);
         const std::vector<storage::Event> want =
             reference(tb.oracle(), request);
-
-        const storage::QueryReceipt pr = tb.pool().execute(sink, request);
-        const storage::QueryReceipt dr = tb.dim().execute(sink, request);
-        const storage::QueryReceipt gr = ght.execute(sink, request);
-        record(rows[c].pool, pr);
-        record(rows[c].dim, dr);
-        record(rows[c].ght, gr);
-        if (!matches_reference(request, pr.events, want)) ++rows[c].mismatches;
-        if (!matches_reference(request, dr.events, want)) ++rows[c].mismatches;
-        if (!matches_reference(request, gr.events, want)) ++rows[c].mismatches;
+        for (std::size_t s = 0; s < kSystems.size(); ++s) {
+          const storage::QueryReceipt r =
+              tb.system(kSystems[s]).execute(sink, request);
+          record(rows[c].stats[s], r);
+          if (!matches_reference(request, r.events, want))
+            ++rows[c].mismatches;
+        }
       }
     }
   }
@@ -188,14 +171,13 @@ int main(int argc, char** argv) {
   for (std::size_t c = 0; c < kClasses.size(); ++c) {
     const ClassRow& row = rows[c];
     mismatches += row.mismatches;
-    const auto add = [&](const char* name, const ClassStats& st) {
-      table.add_row({kClasses[c], name, benchsup::fmt(st.messages.mean()),
+    for (std::size_t s = 0; s < kSystems.size(); ++s) {
+      const ClassStats& st = row.stats[s];
+      table.add_row({kClasses[c], benchsup::to_string(kSystems[s]),
+                     benchsup::fmt(st.messages.mean()),
                      benchsup::fmt(st.visits.mean()),
                      benchsup::fmt(st.results.mean())});
-    };
-    add("pool", row.pool);
-    add("dim", row.dim);
-    add("ght", row.ght);
+    }
   }
   table.print();
 
@@ -203,9 +185,9 @@ int main(int argc, char** argv) {
   // The pruning claim, per non-range class: Pool's distributed pruning
   // must not visit more storage nodes than the GHT flood baseline.
   const bool skyline_pruned =
-      rows[1].pool.visits.mean() <= rows[1].ght.visits.mean();
+      rows[1].pool().visits.mean() <= rows[1].ght().visits.mean();
   const bool knn_pruned =
-      rows[2].pool.visits.mean() <= rows[2].ght.visits.mean();
+      rows[2].pool().visits.mean() <= rows[2].ght().visits.mean();
   std::printf(
       "\nresults identical: %s; Pool visits <= flood: skyline %s, knn %s\n",
       identical ? "yes" : "NO", skyline_pruned ? "yes" : "NO",
@@ -228,18 +210,16 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"classes\": [\n");
     for (std::size_t c = 0; c < kClasses.size(); ++c) {
       const ClassRow& row = rows[c];
-      const auto emit = [f](const char* name, const ClassStats& st,
-                            const char* tail) {
+      std::fprintf(f, "      {\"class\": \"%s\",\n", kClasses[c].c_str());
+      for (std::size_t s = 0; s < kSystems.size(); ++s) {
+        const ClassStats& st = row.stats[s];
         std::fprintf(f,
                      "        \"%s\": {\"messages\": %.2f, \"visits\": %.2f, "
                      "\"results\": %.2f}%s\n",
-                     name, st.messages.mean(), st.visits.mean(),
-                     st.results.mean(), tail);
-      };
-      std::fprintf(f, "      {\"class\": \"%s\",\n", kClasses[c].c_str());
-      emit("pool", row.pool, ",");
-      emit("dim", row.dim, ",");
-      emit("ght", row.ght, "");
+                     benchsup::to_string(kSystems[s]), st.messages.mean(),
+                     st.visits.mean(), st.results.mean(),
+                     s + 1 < kSystems.size() ? "," : "");
+      }
       std::fprintf(f, "      }%s\n", c + 1 < kClasses.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  }\n}\n");

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
         const auto events = tb.insert_workload();
         SeedRun out;
         out.insert_per_event =
-            static_cast<double>(tb.pool_insert_traffic().total) /
+            static_cast<double>(tb.insert_traffic(SystemKind::Pool).total) /
             static_cast<double>(events);
 
         Rng rng(static_cast<std::uint64_t>(j.seed) * 77 + j.replicas);
@@ -139,12 +139,12 @@ int main(int argc, char** argv) {
         const OnlineJob& j = online_jobs[i];
         cli::CliConfig config;
         config.systems = j.replicas == 0
-                             ? std::vector<cli::SystemChoice>{
-                                   cli::SystemChoice::Pool,
-                                   cli::SystemChoice::Dim,
-                                   cli::SystemChoice::Ght}
-                             : std::vector<cli::SystemChoice>{
-                                   cli::SystemChoice::Pool};
+                             ? std::vector<benchsup::SystemKind>{
+                                   benchsup::SystemKind::Pool,
+                                   benchsup::SystemKind::Dim,
+                                   benchsup::SystemKind::Ght}
+                             : std::vector<benchsup::SystemKind>{
+                                   benchsup::SystemKind::Pool};
         config.nodes = 300;
         config.events_per_node = 5;
         config.queries = 60;
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     const OnlineJob& j = online_jobs[i];
     for (const cli::CliResult& r : online[i].rows) {
       online_table.add_row({fmt(j.fail_frac * 100, 0),
-                            cli::to_string(r.system),
+                            benchsup::to_string(r.system),
                             std::to_string(j.replicas), fmt(r.recall, 3),
                             std::to_string(r.retries),
                             std::to_string(r.failovers),

@@ -26,14 +26,15 @@ int main() {
   config.seed = 5;
   Testbed tb(config);
   std::printf("testbed: %zu sensors, 3-d events, 3 per node\n",
-              tb.pool_network().size());
+              tb.network(SystemKind::Pool).size());
   tb.insert_workload();
 
   // A third network copy hosts the centralized baseline: every event is
   // shipped to a base station at the field corner at insert time.
-  const auto pts = tb.pool_network().positions();
+  const auto pts = tb.network(SystemKind::Pool).positions();
   net::Network central_net(std::vector<Point>(pts.begin(), pts.end()),
-                           tb.pool_network().field(), config.radio_range);
+                           tb.network(SystemKind::Pool).field(),
+                           config.radio_range);
   const routing::Gpsr central_gpsr(central_net);
   const net::NodeId base = central_net.nearest_node({0.0, 0.0});
   storage::BruteForceStore central(3, central_net, central_gpsr, base);
@@ -43,8 +44,10 @@ int main() {
 
   std::printf("insert cost:  Pool %llu msgs | DIM %llu msgs | central %llu "
               "msgs (to corner base station)\n\n",
-              static_cast<unsigned long long>(tb.pool_insert_traffic().total),
-              static_cast<unsigned long long>(tb.dim_insert_traffic().total),
+              static_cast<unsigned long long>(
+                  tb.insert_traffic(SystemKind::Pool).total),
+              static_cast<unsigned long long>(
+                  tb.insert_traffic(SystemKind::Dim).total),
               static_cast<unsigned long long>(central_insert));
 
   // Query mix: the paper's four types.

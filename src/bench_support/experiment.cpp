@@ -50,15 +50,15 @@ PairedRun run_paired_queries(Testbed& testbed,
     testbed.oracle().matching_into(q, oracle_scratch);
     const auto oracle_sig = signature(oracle_scratch);
 
-    const double pool_e0 = testbed.pool_network().traffic().energy_j;
+    const double pool_e0 = testbed.network(SystemKind::Pool).traffic().energy_j;
     const auto pool_r = testbed.pool().query(sink, q);
-    const double pool_e1 = testbed.pool_network().traffic().energy_j;
+    const double pool_e1 = testbed.network(SystemKind::Pool).traffic().energy_j;
     record(run.pool, pool_r, pool_e1 - pool_e0);
     if (signature(pool_r.events) != oracle_sig) ++run.pool_mismatches;
 
-    const double dim_e0 = testbed.dim_network().traffic().energy_j;
+    const double dim_e0 = testbed.network(SystemKind::Dim).traffic().energy_j;
     const auto dim_r = testbed.dim().query(sink, q);
-    const double dim_e1 = testbed.dim_network().traffic().energy_j;
+    const double dim_e1 = testbed.network(SystemKind::Dim).traffic().energy_j;
     record(run.dim, dim_r, dim_e1 - dim_e0);
     if (signature(dim_r.events) != oracle_sig) ++run.dim_mismatches;
 

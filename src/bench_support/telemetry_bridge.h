@@ -58,9 +58,10 @@ void publish_system_query_stats(obs::Snapshot& snap, const std::string& prefix,
                                 const SystemQueryStats& stats);
 
 /// One-call scrape of a whole testbed: the registry (route caches plus
-/// whatever callers registered), both networks under "pool."/"dim.",
-/// both systems' fault stats, and hop-trace depth gauges when tracing
-/// is on.
+/// whatever callers registered), the shared path pool under
+/// "pool.buffers", and for every deployed system, under its name: the
+/// network, fault and scan stats, and the hop-trace depth gauge when
+/// tracing is on.
 obs::Snapshot scrape_testbed(Testbed& tb);
 
 }  // namespace poolnet::benchsup

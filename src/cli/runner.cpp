@@ -10,27 +10,15 @@
 
 #include "bench_support/experiment.h"
 #include "bench_support/parallel.h"
-#include "bench_support/replay.h"
 #include "bench_support/telemetry_bridge.h"
 #include "common/error.h"
-#include "ght/ght_system.h"
 #include "net/fault_injector.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
-#include "routing/route_cache.h"
 #include "sim/stats.h"
 
 namespace poolnet::cli {
 
-const char* to_string(SystemChoice s) {
-  switch (s) {
-    case SystemChoice::Pool: return "pool";
-    case SystemChoice::Dim: return "dim";
-    case SystemChoice::Ght: return "ght";
-    case SystemChoice::Central: return "central";
-  }
-  return "?";
-}
+using benchsup::SystemKind;
 
 const char* to_string(QueryFlavor f) {
   switch (f) {
@@ -123,21 +111,18 @@ void merge(Accumulator& into, const Accumulator& from) {
 /// scraped telemetry Snapshot (empty when metrics are off), and the
 /// systems' describe() lines (captured once, from deployment 0).
 struct DeploymentOut {
-  std::map<SystemChoice, Accumulator> acc;
+  std::map<SystemKind, Accumulator> acc;
   obs::Snapshot snap;
   std::vector<std::string> describes;  ///< config.systems order
 };
 
 /// One deployment, start to finish: the unit of parallelism. Each call
-/// owns every bit of mutable state it touches (testbed, GHT copy, RNGs),
-/// so deployments can run on any thread; results merge in deployment
-/// order, making the aggregates independent of the thread count.
+/// owns every bit of mutable state it touches (testbed, RNGs), so
+/// deployments can run on any thread; results merge in deployment order,
+/// making the aggregates independent of the thread count.
 DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   DeploymentOut out;
-  std::map<SystemChoice, Accumulator>& acc = out.acc;
-  for (const auto s : config.systems) acc[s];
-  const bool want_ght = acc.count(SystemChoice::Ght) > 0;
-  const bool want_central = acc.count(SystemChoice::Central) > 0;
+  std::map<SystemKind, Accumulator>& acc = out.acc;
 
   benchsup::TestbedConfig tb_config;
   tb_config.nodes = config.nodes;
@@ -146,103 +131,27 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   tb_config.seed = config.seed + dep;
   tb_config.pool = config.pool;
   tb_config.workload.dist = config.workload;
+  tb_config.systems = config.systems;
+  tb_config.store = config.store;
   tb_config.route_cache = config.route_cache;
   tb_config.trace_capacity = config.telemetry.trace_capacity;
   benchsup::Testbed tb(tb_config);
   const auto events = tb.insert_workload();
-
-  // GHT rides on its own network copy, like the Testbed systems. It
-  // shares the testbed's registry so one scrape covers all three.
-  std::unique_ptr<net::Network> ght_net;
-  std::unique_ptr<routing::Gpsr> ght_gpsr;
-  std::unique_ptr<routing::RouteCache> ght_cache;
-  std::unique_ptr<ght::GhtSystem> ght_sys;
-  std::unique_ptr<obs::RingTraceSink> ght_trace;
-  if (want_ght) {
-    const auto pts = tb.pool_network().positions();
-    ght_net = std::make_unique<net::Network>(
-        std::vector<Point>(pts.begin(), pts.end()), tb.pool_network().field(),
-        tb_config.radio_range);
-    if (config.telemetry.wants_trace()) {
-      ght_trace =
-          std::make_unique<obs::RingTraceSink>(config.telemetry.trace_capacity);
-      ght_net->set_trace(ght_trace.get());
-    }
-    ght_gpsr = std::make_unique<routing::Gpsr>(*ght_net);
-    const routing::Router* ght_router = ght_gpsr.get();
-    if (config.route_cache.enabled) {
-      ght_cache = std::make_unique<routing::RouteCache>(
-          *ght_gpsr, config.route_cache, &tb.metrics(), "ght.route_cache");
-      ght_router = ght_cache.get();
-    }
-    ght_sys =
-        std::make_unique<ght::GhtSystem>(*ght_net, *ght_router, config.dims);
-    benchsup::replay_oracle(tb.oracle(), *ght_sys);
-    acc[SystemChoice::Ght].insert_msgs +=
-        static_cast<double>(ght_net->traffic().total);
-    acc[SystemChoice::Ght].events += events;
-    ght_net->reset_traffic();
-  }
-  // Central (the collect-everything baseline) likewise runs on its own
-  // network copy; node 0 plays the base station, and --store decides
-  // whether events land in the flat vector or the paged store.
-  std::unique_ptr<net::Network> central_net;
-  std::unique_ptr<routing::Gpsr> central_gpsr;
-  std::unique_ptr<routing::RouteCache> central_cache;
-  std::unique_ptr<storage::DcsSystem> central_sys;
-  std::unique_ptr<obs::RingTraceSink> central_trace;
-  if (want_central) {
-    const auto pts = tb.pool_network().positions();
-    central_net = std::make_unique<net::Network>(
-        std::vector<Point>(pts.begin(), pts.end()), tb.pool_network().field(),
-        tb_config.radio_range);
-    if (config.telemetry.wants_trace()) {
-      central_trace =
-          std::make_unique<obs::RingTraceSink>(config.telemetry.trace_capacity);
-      central_net->set_trace(central_trace.get());
-    }
-    central_gpsr = std::make_unique<routing::Gpsr>(*central_net);
-    const routing::Router* central_router = central_gpsr.get();
-    if (config.route_cache.enabled) {
-      central_cache = std::make_unique<routing::RouteCache>(
-          *central_gpsr, config.route_cache, &tb.metrics(),
-          "central.route_cache");
-      central_router = central_cache.get();
-    }
-    central_sys = storage::make_central_store(
-        config.dims, config.store, central_net.get(), central_router,
-        net::NodeId{0}, &tb.metrics());
-    benchsup::replay_oracle(tb.oracle(), *central_sys);
-    acc[SystemChoice::Central].insert_msgs +=
-        static_cast<double>(central_net->traffic().total);
-    acc[SystemChoice::Central].events += events;
-    central_net->reset_traffic();
-  }
-  if (acc.count(SystemChoice::Pool)) {
-    acc[SystemChoice::Pool].insert_msgs +=
-        static_cast<double>(tb.pool_insert_traffic().total);
-    acc[SystemChoice::Pool].events += events;
-  }
-  if (acc.count(SystemChoice::Dim)) {
-    acc[SystemChoice::Dim].insert_msgs +=
-        static_cast<double>(tb.dim_insert_traffic().total);
-    acc[SystemChoice::Dim].events += events;
+  for (const auto s : config.systems) {
+    acc[s].insert_msgs = static_cast<double>(tb.insert_traffic(s).total);
+    acc[s].events = events;
   }
 
   // Every query flows through a per-system QueryEngine. With batching and
   // the cache off the engine executes each submit immediately — the exact
   // call sequence of the direct loop — so default runs are unchanged;
   // with --batch/--qcache the engine merges and caches per its config.
-  std::map<SystemChoice, std::unique_ptr<engine::QueryEngine>> engines;
+  std::map<SystemKind, std::unique_ptr<engine::QueryEngine>> engines;
   // Query latency in hops (forwarding legs on ideal links), one histogram
   // per system in the testbed registry.
-  std::map<SystemChoice, obs::MetricsRegistry::Histogram> latency;
+  std::map<SystemKind, obs::MetricsRegistry::Histogram> latency;
   for (const auto s : config.systems) {
-    storage::DcsSystem& sys =
-        s == SystemChoice::Pool ? static_cast<storage::DcsSystem&>(tb.pool())
-        : s == SystemChoice::Dim ? static_cast<storage::DcsSystem&>(tb.dim())
-        : s == SystemChoice::Ght ? static_cast<storage::DcsSystem&>(*ght_sys)
-                                 : *central_sys;
+    storage::DcsSystem& sys = tb.system(s);
     const std::string prefix = to_string(s);
     engines[s] = std::make_unique<engine::QueryEngine>(
         sys, config.engine, &tb.metrics(), prefix + ".engine");
@@ -252,22 +161,24 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
   }
 
   // Live failure injection: the plan's action times are query indices,
-  // advanced just before each query is issued. Every network (including
-  // GHT's copy) sees the same kills, so the systems stay in one world.
+  // advanced just before each query is issued. Every network sees the
+  // same kills, so the systems stay in one world. Central's network is
+  // deliberately exempt: the baseline models a reliable backhaul to the
+  // base station and has no failover to exercise, so injecting kills
+  // there would only crash routing.
   const bool faults_on = config.faults.enabled();
   std::unique_ptr<net::FaultInjector> injector;
   if (faults_on) {
-    std::vector<net::Network*> nets{&tb.pool_network(), &tb.dim_network()};
-    if (want_ght) nets.push_back(ght_net.get());
-    // Central's copy is deliberately exempt: the baseline models a
-    // reliable backhaul to the base station and has no failover to
-    // exercise, so injecting kills there would only crash routing.
-    injector = std::make_unique<net::FaultInjector>(config.faults, nets);
+    std::vector<net::Network*> nets;
+    for (const SystemKind s : tb.systems())
+      if (s != SystemKind::Central) nets.push_back(&tb.network(s));
+    injector = std::make_unique<net::FaultInjector>(config.faults,
+                                                    tb.positions(), nets);
   }
 
   struct Issued {
     std::vector<std::uint64_t> oracle_ids;  ///< sorted
-    std::map<SystemChoice, engine::QueryEngine::Ticket> tickets;
+    std::map<SystemKind, engine::QueryEngine::Ticket> tickets;
   };
   std::vector<Issued> issued;
   issued.reserve(config.queries);
@@ -285,8 +196,8 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
       // A dead sink cannot issue anything; redraw (bounded, in case a
       // blackout leaves almost nobody standing). Extra draws only happen
       // on a redraw, so fault-free runs consume the identical stream.
-      for (std::size_t tries = 0;
-           !tb.pool_network().alive(sink) && tries < 1000; ++tries)
+      for (std::size_t tries = 0; !injector->alive(sink) && tries < 1000;
+           ++tries)
         sink = tb.random_node(sink_rng);
     }
     Issued row;
@@ -326,28 +237,7 @@ DeploymentOut run_deployment(const CliConfig& config, std::size_t dep) {
     acc[s].events_lost += f.events_lost;
   }
 
-  if (config.telemetry.wants_metrics()) {
-    out.snap = benchsup::scrape_testbed(tb);
-    if (want_ght) {
-      benchsup::publish_network(out.snap, "ght", *ght_net);
-      benchsup::publish_fault_stats(out.snap, "ght", ght_sys->fault_stats());
-      if (const auto* s = ght_sys->scan_stats())
-        benchsup::publish_scan_stats(out.snap, "ght", *s);
-      if (ght_trace) {
-        out.snap.gauges["ght.trace.recorded"] +=
-            static_cast<double>(ght_trace->recorded());
-      }
-    }
-    if (want_central) {
-      benchsup::publish_network(out.snap, "central", *central_net);
-      if (const auto* s = central_sys->scan_stats())
-        benchsup::publish_scan_stats(out.snap, "central", *s);
-      if (central_trace) {
-        out.snap.gauges["central.trace.recorded"] +=
-            static_cast<double>(central_trace->recorded());
-      }
-    }
-  }
+  if (config.telemetry.wants_metrics()) out.snap = benchsup::scrape_testbed(tb);
   return out;
 }
 
@@ -365,7 +255,7 @@ std::vector<CliResult> run_experiment(const CliConfig& config,
       config.deployments, config.threads,
       [&config](std::size_t dep) { return run_deployment(config, dep); });
 
-  std::map<SystemChoice, Accumulator> acc;
+  std::map<SystemKind, Accumulator> acc;
   for (const auto s : config.systems) acc[s];
   // Merge aggregates AND snapshots in deployment order — the float sums
   // are then bit-identical at any --threads value.

@@ -3,22 +3,27 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/error.h"
 
 namespace poolnet::net {
 
-FaultInjector::FaultInjector(sim::FaultPlan plan, std::vector<Network*> nets)
-    : plan_(std::move(plan)), nets_(std::move(nets)), rng_(plan_.seed) {
-  if (nets_.empty()) throw ConfigError("FaultInjector: no networks");
+FaultInjector::FaultInjector(sim::FaultPlan plan,
+                             std::span<const Point> positions,
+                             std::vector<Network*> nets)
+    : plan_(std::move(plan)),
+      positions_(positions.begin(), positions.end()),
+      alive_(positions.size(), 1),
+      nets_(std::move(nets)),
+      rng_(plan_.seed) {
   for (const Network* n : nets_) {
     POOLNET_ASSERT(n != nullptr);
-    POOLNET_ASSERT_MSG(n->size() == nets_[0]->size(),
+    POOLNET_ASSERT_MSG(n->size() == positions_.size(),
                        "FaultInjector: networks must be co-deployed");
   }
 }
 
 void FaultInjector::kill_everywhere(NodeId id, std::vector<NodeId>* newly) {
-  if (!nets_[0]->alive(id)) return;
+  if (!alive_[id]) return;
+  alive_[id] = 0;
   for (Network* n : nets_) n->kill(id);
   newly->push_back(id);
   ++killed_;
@@ -26,20 +31,20 @@ void FaultInjector::kill_everywhere(NodeId id, std::vector<NodeId>* newly) {
 
 std::vector<NodeId> FaultInjector::advance(double now) {
   std::vector<NodeId> newly;
-  const Network& world = *nets_[0];
+  const auto world_size = static_cast<NodeId>(positions_.size());
   while (next_ < plan_.actions.size() && plan_.actions[next_].at <= now) {
     const sim::FaultAction& a = plan_.actions[next_++];
     switch (a.kind) {
       case sim::FaultKind::KillNode:
-        if (a.node < world.size()) kill_everywhere(a.node, &newly);
+        if (a.node < world_size) kill_everywhere(a.node, &newly);
         break;
       case sim::FaultKind::KillFraction: {
         // Sample without replacement from the current survivors so
         // repeated kill clauses compose (partial Fisher–Yates).
         std::vector<NodeId> pool;
-        pool.reserve(world.size());
-        for (NodeId id = 0; id < world.size(); ++id)
-          if (world.alive(id)) pool.push_back(id);
+        pool.reserve(world_size);
+        for (NodeId id = 0; id < world_size; ++id)
+          if (alive_[id]) pool.push_back(id);
         std::size_t want = static_cast<std::size_t>(
             a.fraction * static_cast<double>(pool.size()) + 0.5);
         want = std::min(want, pool.size());
@@ -53,9 +58,8 @@ std::vector<NodeId> FaultInjector::advance(double now) {
         break;
       }
       case sim::FaultKind::Blackout:
-        for (NodeId id = 0; id < world.size(); ++id)
-          if (world.alive(id) &&
-              distance(world.position(id), a.center) <= a.radius)
+        for (NodeId id = 0; id < world_size; ++id)
+          if (alive_[id] && distance(positions_[id], a.center) <= a.radius)
             kill_everywhere(id, &newly);
         break;
       case sim::FaultKind::DegradeStart:

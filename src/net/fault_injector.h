@@ -1,13 +1,16 @@
 // Replays a sim::FaultPlan against live Networks.
 //
 // The CLI/bench drivers co-deploy several systems (Pool/DIM/GHT) on
-// networks built from the SAME node positions; the injector applies each
-// action to every registered network so all systems observe one
-// consistent world. Failure DETECTION stays reactive: the injector only
-// flips alive bits — systems learn about a death when a send into the
-// dead node exhausts its ack/retry budget (routing::send_reliable).
+// networks built from the SAME node positions; the injector keeps that
+// world's alive map and applies each action to every registered network,
+// so all systems observe one consistent world whichever of them run.
+// Failure DETECTION stays reactive: the injector only flips alive bits —
+// systems learn about a death when a send into the dead node exhausts its
+// ack/retry budget (routing::send_reliable).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,13 +21,19 @@ namespace poolnet::net {
 
 class FaultInjector {
  public:
-  /// `nets` must all have the same size and node positions (the testbed
-  /// convention). A disabled plan makes advance() a cheap no-op.
-  FaultInjector(sim::FaultPlan plan, std::vector<Network*> nets);
+  /// `positions` is the deployment every network in `nets` is built over
+  /// (the testbed convention); the injector keeps its own alive map of it,
+  /// so `nets` may be empty or omit a network exempt from failures. A
+  /// disabled plan makes advance() a cheap no-op.
+  FaultInjector(sim::FaultPlan plan, std::span<const Point> positions,
+                std::vector<Network*> nets);
 
   /// Applies every not-yet-fired action with `at` <= now, in schedule
   /// order. Returns the ids newly killed by this call.
   std::vector<NodeId> advance(double now);
+
+  /// Whether the plan has left `id` alive so far.
+  bool alive(NodeId id) const { return alive_[id] != 0; }
 
   bool exhausted() const { return next_ >= plan_.actions.size(); }
   std::size_t total_killed() const { return killed_; }
@@ -33,6 +42,8 @@ class FaultInjector {
   void kill_everywhere(NodeId id, std::vector<NodeId>* newly);
 
   sim::FaultPlan plan_;
+  std::vector<Point> positions_;
+  std::vector<std::uint8_t> alive_;
   std::vector<Network*> nets_;
   std::size_t next_ = 0;
   Rng rng_;

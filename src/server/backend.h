@@ -1,5 +1,6 @@
-// The serving stack poolnetd fronts: one deployed Testbed, ONE of the
-// three DCS systems chosen at startup, and a batched QueryEngine over it.
+// The serving stack poolnetd fronts: one deployed Testbed running ONE of
+// the four DCS systems, chosen at startup, and a batched QueryEngine over
+// it.
 //
 // Built identically by the server binary and by bench/server_load's
 // direct-execution arm — same config, same seeds, same construction
@@ -12,23 +13,12 @@
 
 #include "bench_support/testbed.h"
 #include "engine/query_engine.h"
-#include "ght/ght_system.h"
-#include "routing/route_cache.h"
 #include "storage/store_config.h"
 
 namespace poolnet::server {
 
-/// Central is the collect-at-the-base-station baseline; its local store
-/// engine (flat vector or paged out-of-core) comes from
-/// BackendConfig::store.
-enum class SystemKind { Pool, Dim, Ght, Central };
-
-const char* to_string(SystemKind kind);
-bool parse_system_kind(const std::string& name, SystemKind* out,
-                       std::string* error);
-
 struct BackendConfig {
-  SystemKind system = SystemKind::Pool;
+  benchsup::SystemKind system = benchsup::SystemKind::Pool;
   std::size_t nodes = 300;
   std::size_t dims = 3;
   std::size_t events_per_node = 3;  ///< workload preloaded before serving
@@ -37,10 +27,9 @@ struct BackendConfig {
   storage::StoreConfig store;        ///< central store engine (--store)
 };
 
-/// Deploys the testbed, preloads the workload into every system (the
-/// Testbed inserts into Pool/DIM/oracle; a GHT choice adds its own
-/// network copy, as the CLI runner does), and binds a QueryEngine to the
-/// chosen system. Single-threaded, like the Testbed underneath.
+/// Deploys a testbed running only the chosen system, preloads the
+/// workload into it (and the oracle), and binds a QueryEngine to it.
+/// Single-threaded, like the Testbed underneath.
 class Backend {
  public:
   explicit Backend(BackendConfig config);
@@ -62,14 +51,6 @@ class Backend {
  private:
   BackendConfig config_;
   std::unique_ptr<benchsup::Testbed> testbed_;
-  // GHT and Central each ride on their own network over the same
-  // positions (the runner's pattern), so per-node accounting never mixes
-  // systems.
-  std::unique_ptr<net::Network> extra_net_;
-  std::unique_ptr<routing::Gpsr> extra_gpsr_;
-  std::unique_ptr<routing::RouteCache> extra_cache_;
-  std::unique_ptr<ght::GhtSystem> ght_;
-  std::unique_ptr<storage::DcsSystem> central_;
   storage::DcsSystem* system_ = nullptr;
   std::unique_ptr<engine::QueryEngine> engine_;
   std::uint64_t preloaded_ = 0;

@@ -1,8 +1,9 @@
 // The common interface of data-centric storage systems.
 //
-// Both Pool (src/core) and DIM (src/dim) implement this, which is what
-// lets the experiment driver, the tests, and the benches treat the two
-// systems symmetrically — the comparison methodology of Section 5.
+// Pool (src/core), DIM (src/dim), GHT (src/ght) and the central stores
+// (BruteForceStore, PagedStore) implement this, which is what lets the
+// experiment driver, the server, the tests, and the benches treat the
+// four systems symmetrically — the comparison methodology of Section 5.
 #pragma once
 
 #include <cstdint>

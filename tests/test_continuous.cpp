@@ -12,6 +12,7 @@
 namespace poolnet::core {
 namespace {
 
+using benchsup::SystemKind;
 using net::NodeId;
 using storage::Event;
 using storage::RangeQuery;
@@ -34,7 +35,7 @@ struct Fixture {
     tb = std::make_unique<benchsup::Testbed>(config);
   }
   PoolSystem& pool() { return tb->pool(); }
-  net::Network& network() { return tb->pool_network(); }
+  net::Network& network() { return tb->network(SystemKind::Pool); }
   std::unique_ptr<benchsup::Testbed> tb;
 };
 

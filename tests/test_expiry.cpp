@@ -5,14 +5,13 @@
 #include <memory>
 
 #include "bench_support/testbed.h"
-#include "ght/ght_system.h"
 #include "storage/paged/paged_store.h"
 #include "query/workload.h"
-#include "routing/gpsr.h"
 
 namespace poolnet::storage {
 namespace {
 
+using benchsup::SystemKind;
 using net::NodeId;
 
 Event timed_event(std::uint64_t id, double t,
@@ -30,9 +29,9 @@ struct Fixture {
     benchsup::TestbedConfig config;
     config.nodes = 200;
     config.seed = 4;
+    config.systems = {SystemKind::Pool, SystemKind::Dim, SystemKind::Ght};
     tb = std::make_unique<benchsup::Testbed>(config);
-    ght_gpsr = std::make_unique<routing::Gpsr>(tb->pool_network());
-    ght = std::make_unique<ght::GhtSystem>(tb->pool_network(), *ght_gpsr, 3);
+    ght = &tb->system(SystemKind::Ght);
   }
 
   /// Inserts 100 events with detected_at = 0..99 into every system.
@@ -50,8 +49,7 @@ struct Fixture {
   }
 
   std::unique_ptr<benchsup::Testbed> tb;
-  std::unique_ptr<routing::Gpsr> ght_gpsr;
-  std::unique_ptr<ght::GhtSystem> ght;
+  DcsSystem* ght = nullptr;
 };
 
 TEST(Expiry, RemovesExactlyTheStaleEvents) {
@@ -93,7 +91,7 @@ TEST(Expiry, NodeCountersStayConsistent) {
   fx.insert_timed();
   fx.tb->dim().expire_before(100.0);  // everything in DIM only
   std::uint64_t dim_resident = 0;
-  for (const auto& n : fx.tb->dim_network().nodes())
+  for (const auto& n : fx.tb->network(SystemKind::Dim).nodes())
     dim_resident += n.stored_events;
   EXPECT_EQ(dim_resident, 0u);
 }
@@ -101,9 +99,9 @@ TEST(Expiry, NodeCountersStayConsistent) {
 TEST(Expiry, ExpiryIsFreeOfMessages) {
   Fixture fx;
   fx.insert_timed();
-  const auto before = fx.tb->pool_network().traffic().total;
+  const auto before = fx.tb->network(SystemKind::Pool).traffic().total;
   fx.tb->pool().expire_before(60.0);
-  EXPECT_EQ(fx.tb->pool_network().traffic().total, before);
+  EXPECT_EQ(fx.tb->network(SystemKind::Pool).traffic().total, before);
 }
 
 TEST(Expiry, RemovesReplicasToo) {

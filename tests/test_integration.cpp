@@ -104,9 +104,9 @@ TEST(Integration, InsertionCostsComparableAcrossSystems) {
   Testbed tb(config);
   const auto events = tb.insert_workload();
   const double pool_per_event =
-      static_cast<double>(tb.pool_insert_traffic().total) / events;
+      static_cast<double>(tb.insert_traffic(SystemKind::Pool).total) / events;
   const double dim_per_event =
-      static_cast<double>(tb.dim_insert_traffic().total) / events;
+      static_cast<double>(tb.insert_traffic(SystemKind::Dim).total) / events;
   EXPECT_GT(pool_per_event, 1.0);
   EXPECT_GT(dim_per_event, 1.0);
   EXPECT_LT(pool_per_event / dim_per_event, 2.0);

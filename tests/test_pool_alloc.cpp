@@ -27,6 +27,7 @@
 namespace poolnet {
 namespace {
 
+using benchsup::SystemKind;
 using benchsup::Testbed;
 using benchsup::TestbedConfig;
 
@@ -64,10 +65,10 @@ Fingerprint run_testbed(std::uint64_t seed, bool pooled) {
   tb.insert_workload();
 
   Fingerprint fp;
-  fp.add(tb.pool_insert_traffic().total);
-  fp.add(tb.dim_insert_traffic().total);
-  fp.add_bits(tb.pool_insert_traffic().energy_j);
-  fp.add_bits(tb.dim_insert_traffic().energy_j);
+  fp.add(tb.insert_traffic(SystemKind::Pool).total);
+  fp.add(tb.insert_traffic(SystemKind::Dim).total);
+  fp.add_bits(tb.insert_traffic(SystemKind::Pool).energy_j);
+  fp.add_bits(tb.insert_traffic(SystemKind::Dim).energy_j);
 
   query::QueryGenerator qgen({.dims = 3}, seed * 31 + 7);
   Rng sinks(seed * 17 + 3);
@@ -95,7 +96,8 @@ Fingerprint run_testbed(std::uint64_t seed, bool pooled) {
   fp.add(agg.index_nodes_visited);
 
   // Cache counters see the same hit/miss sequence either way.
-  for (const auto* cache : {tb.pool_route_cache(), tb.dim_route_cache()}) {
+  for (const auto* cache :
+       {tb.route_cache(SystemKind::Pool), tb.route_cache(SystemKind::Dim)}) {
     EXPECT_NE(cache, nullptr) << "route cache should default on";
     if (!cache) continue;
     const auto s = cache->stats();

@@ -16,13 +16,11 @@
 
 #include "bench_support/testbed.h"
 #include "common/error.h"
-#include "ght/ght_system.h"
-#include "net/deployment.h"
 #include "query/query_gen.h"
 #include "query/workload.h"
 #include "storage/brute_force_store.h"
 #include "storage/column/column_store.h"
-#include "storage/paged/paged_store.h"
+#include "storage/store_config.h"
 #include "storage/query_request.h"
 
 namespace poolnet {
@@ -37,49 +35,35 @@ using storage::RangeQuery;
 using storage::SkylineQuery;
 using storage::Values;
 
-/// All four systems over ONE workload: Pool + DIM + flat oracle from the
-/// testbed, GHT on its own deployment, and the paged central store in
-/// pure-oracle mode with a tiny pool so queries actually page.
+/// All four systems over ONE deployment and workload, each on its own
+/// testbed stack — central on the paged store with a tiny pool so queries
+/// actually page — plus the testbed's flat oracle.
 struct FourSystems {
   FourSystems(std::uint64_t seed, std::size_t dims, std::size_t nodes = 150) {
     benchsup::TestbedConfig config;
     config.nodes = nodes;
     config.seed = seed;
     config.dims = dims;
+    config.systems.assign(benchsup::kAllSystems.begin(),
+                          benchsup::kAllSystems.end());
+    config.store.kind = storage::StoreKind::Paged;
+    config.store.paged.pool_pages = 4;
+    config.store.paged.page_bytes = 512;
     tb = std::make_unique<benchsup::Testbed>(config);
     tb->insert_workload();
-
-    const double side = net::field_side_for_density(nodes, 40.0, 20.0);
-    const Rect field{0, 0, side, side};
-    for (std::uint64_t attempt = 0;; ++attempt) {
-      Rng rng(seed * 131 + attempt * 7919 + 5);
-      auto pts = net::deploy_uniform(nodes, field, rng);
-      auto candidate =
-          std::make_unique<net::Network>(std::move(pts), field, 40.0);
-      if (candidate->is_connected()) {
-        ght_net = std::move(candidate);
-        break;
-      }
-    }
-    ght_gpsr = std::make_unique<routing::Gpsr>(*ght_net);
-    ght = std::make_unique<ght::GhtSystem>(*ght_net, *ght_gpsr, dims);
-
-    storage::PagedStoreOptions options;
-    options.pool_pages = 4;
-    options.page_bytes = 512;
-    paged = std::make_unique<storage::PagedStore>(dims, options);
-
-    for (const Event& e : tb->oracle().all()) {
-      ght->insert(e.source, e);
-      paged->insert(0, e);
-    }
   }
 
   /// Every system that must agree (the flat oracle included: its skyline
   /// override prunes too, so it is itself under test).
   std::vector<storage::DcsSystem*> systems() {
-    return {&tb->pool(), &tb->dim(), ght.get(), paged.get(), &tb->oracle()};
+    std::vector<storage::DcsSystem*> out;
+    for (const benchsup::SystemKind kind : tb->systems())
+      out.push_back(&tb->system(kind));
+    out.push_back(&tb->oracle());
+    return out;
   }
+
+  storage::DcsSystem& ght() { return tb->system(benchsup::SystemKind::Ght); }
 
   /// Canonical reference: the local kernel over every stored event.
   std::vector<Event> reference(const QueryRequest& request) const {
@@ -103,10 +87,6 @@ struct FourSystems {
   }
 
   std::unique_ptr<benchsup::Testbed> tb;
-  std::unique_ptr<net::Network> ght_net;
-  std::unique_ptr<routing::Gpsr> ght_gpsr;
-  std::unique_ptr<ght::GhtSystem> ght;
-  std::unique_ptr<storage::PagedStore> paged;
 };
 
 // ------------------------------------------------- cross-system equivalence
@@ -315,7 +295,7 @@ TEST(QueryClasses, PoolSkylineVisitsFewerCellsThanFlood) {
   FourSystems fx(9, 3, /*nodes=*/300);
   const SkylineQuery q(3);
   const QueryReceipt pool = fx.tb->pool().skyline(0, q);
-  const QueryReceipt flood = fx.ght->skyline(0, q);
+  const QueryReceipt flood = fx.ght().skyline(0, q);
   EXPECT_EQ(pool.events, flood.events);
   EXPECT_LT(pool.index_nodes_visited, flood.index_nodes_visited);
 }

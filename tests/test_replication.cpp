@@ -11,6 +11,7 @@
 namespace poolnet::core {
 namespace {
 
+using benchsup::SystemKind;
 using net::NodeId;
 
 benchsup::Testbed make_testbed(std::uint32_t replicas, std::uint64_t seed = 3,
@@ -69,8 +70,8 @@ TEST(Replication, InsertCostScalesWithCopies) {
   auto tb2 = make_testbed(2, 9);
   tb0.insert_workload();
   tb2.insert_workload();
-  const auto base = tb0.pool_insert_traffic().total;
-  const auto with = tb2.pool_insert_traffic().total;
+  const auto base = tb0.insert_traffic(SystemKind::Pool).total;
+  const auto with = tb2.insert_traffic(SystemKind::Pool).total;
   EXPECT_GT(with, 2 * base);  // three unicasts instead of one
   EXPECT_LT(with, 5 * base);
 }
@@ -81,7 +82,7 @@ TEST(Replication, SurvivabilityOfLoadedNodes) {
 
   // Kill the 15 most-loaded nodes.
   std::vector<std::pair<std::uint64_t, NodeId>> by_load;
-  for (const auto& node : tb1.pool_network().nodes())
+  for (const auto& node : tb1.network(SystemKind::Pool).nodes())
     by_load.emplace_back(node.stored_events, node.id);
   std::sort(by_load.rbegin(), by_load.rend());
   std::vector<NodeId> dead;
@@ -136,7 +137,7 @@ TEST(Replication, MoreReplicasNeverHurtSurvivability) {
     while (dead.size() < 25) {
       const auto n = static_cast<NodeId>(
           rng.uniform_int(0, static_cast<std::int64_t>(
-                                 tb.pool_network().size()) - 1));
+                                 tb.network(SystemKind::Pool).size()) - 1));
       if (std::find(dead.begin(), dead.end(), n) == dead.end())
         dead.push_back(n);
     }

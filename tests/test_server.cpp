@@ -20,6 +20,8 @@
 namespace poolnet::server {
 namespace {
 
+using benchsup::SystemKind;
+
 ServerConfig small_config(SystemKind system = SystemKind::Pool) {
   ServerConfig config;
   config.backend.system = system;

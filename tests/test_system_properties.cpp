@@ -12,6 +12,7 @@
 namespace poolnet {
 namespace {
 
+using benchsup::SystemKind;
 using net::NodeId;
 
 TEST(SystemProperties, RngPlanarizationAlsoDeliversEverywhere) {
@@ -21,7 +22,7 @@ TEST(SystemProperties, RngPlanarizationAlsoDeliversEverywhere) {
   config.nodes = 300;
   config.seed = 21;
   benchsup::Testbed tb(config);
-  const routing::Gpsr rng_gpsr(tb.pool_network(),
+  const routing::Gpsr rng_gpsr(tb.network(SystemKind::Pool),
                                routing::PlanarizationRule::RelativeNeighborhood);
   Rng rng(22);
   for (int i = 0; i < 150; ++i) {
@@ -39,9 +40,9 @@ TEST(SystemProperties, RngPerimeterDetoursAtLeastAsLongAsGabriel) {
   config.nodes = 300;
   config.seed = 23;
   benchsup::Testbed tb(config);
-  const routing::Gpsr gg(tb.pool_network(),
+  const routing::Gpsr gg(tb.network(SystemKind::Pool),
                          routing::PlanarizationRule::Gabriel);
-  const routing::Gpsr rg(tb.pool_network(),
+  const routing::Gpsr rg(tb.network(SystemKind::Pool),
                          routing::PlanarizationRule::RelativeNeighborhood);
   Rng rng(24);
   std::size_t gg_hops = 0, rg_hops = 0;
@@ -109,7 +110,7 @@ TEST(SystemProperties, SplitterIsStablePerSinkAndCloserSinksCostLess) {
   const storage::RangeQuery q({{0.45, 0.55}, {0.45, 0.55}, {0.0, 0.3}});
   const NodeId near_sink = tb.pool().splitter_for(0, tb.random_node(rng));
   const NodeId far_sink =
-      tb.pool_network().nearest_node({0.0, 0.0});
+      tb.network(SystemKind::Pool).nearest_node({0.0, 0.0});
   const auto near_cost = tb.pool().query(near_sink, q).messages;
   const auto far_cost = tb.pool().query(far_sink, q).messages;
   // Not a strict inequality in general (different splitters engage), but
@@ -143,7 +144,7 @@ TEST(SystemProperties, PerNodeTxRxBalanceMatchesLedger) {
   for (int i = 0; i < 10; ++i) tb.pool().query(0, qgen.exact_range());
 
   std::uint64_t tx = 0, rx = 0;
-  for (const auto& n : tb.pool_network().nodes()) {
+  for (const auto& n : tb.network(SystemKind::Pool).nodes()) {
     tx += n.tx_count;
     rx += n.rx_count;
   }
@@ -151,8 +152,8 @@ TEST(SystemProperties, PerNodeTxRxBalanceMatchesLedger) {
   // equal the ledger total (insert traffic was reset by the testbed, but
   // node counters were not — so compare deltas via the ledger + inserts).
   EXPECT_EQ(tx, rx);
-  EXPECT_EQ(tx, tb.pool_network().traffic().total +
-                    tb.pool_insert_traffic().total);
+  EXPECT_EQ(tx, tb.network(SystemKind::Pool).traffic().total +
+                    tb.insert_traffic(SystemKind::Pool).total);
 }
 
 }  // namespace

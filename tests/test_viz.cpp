@@ -10,6 +10,8 @@
 namespace poolnet::viz {
 namespace {
 
+using benchsup::SystemKind;
+
 TEST(Svg, EmptyDocumentIsWellFormed) {
   const SvgDocument doc(100, 50);
   const auto s = doc.to_string();
@@ -93,7 +95,7 @@ TEST(FieldRenderer, RouteBecomesPolyline) {
   config.seed = 4;
   benchsup::Testbed tb(config);
   FieldRenderer renderer(tb.pool());
-  const auto route = tb.pool_gpsr().route_to_node(0, 150);
+  const auto route = tb.gpsr(SystemKind::Pool).route_to_node(0, 150);
   const auto before = renderer.document().element_count();
   renderer.draw_route(route, Color{200, 0, 0});
   EXPECT_EQ(renderer.document().element_count(), before + 1);

@@ -16,20 +16,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_support/replay.h"
 #include "bench_support/testbed.h"
-#include "ght/ght_system.h"
 #include "query/query_gen.h"
-#include "routing/gpsr.h"
-#include "storage/store_config.h"
 
 namespace poolnet {
 namespace {
 
+using benchsup::SystemKind;
 using net::NodeId;
 using storage::RangeQuery;
 
@@ -100,56 +96,31 @@ struct LedgerMark {
 
 constexpr std::size_t kDims = 3;
 
-benchsup::TestbedConfig bed_config(bool sharing, std::uint32_t replicas) {
+benchsup::TestbedConfig bed_config(std::vector<SystemKind> systems,
+                                   bool sharing, std::uint32_t replicas,
+                                   bool route_cache) {
   benchsup::TestbedConfig c;
+  c.route_cache.enabled = route_cache;
   c.nodes = 300;
   c.dims = kDims;
   c.events_per_node = 3;
   c.seed = 7;
+  c.systems = std::move(systems);
   c.pool.workload_sharing = sharing;
   c.pool.share_threshold = 4;
   c.pool.replicas = replicas;
   return c;
 }
 
-/// One system under test on its own network copy.
+/// The systems under test, each on its own stack of one testbed, with the
+/// workload inserted.
 struct Deployment {
-  explicit Deployment(bool sharing = false, std::uint32_t replicas = 0)
-      : tb(bed_config(sharing, replicas)) {
+  explicit Deployment(std::vector<SystemKind> systems, bool sharing = false,
+                      std::uint32_t replicas = 0, bool route_cache = true)
+      : tb(bed_config(std::move(systems), sharing, replicas, route_cache)) {
     tb.insert_workload();
   }
-
-  /// Builds GHT or central over a copy of the testbed's positions and
-  /// replays the oracle's events into it.
-  void build_extra(const std::string& which) {
-    const auto pts = tb.pool_network().positions();
-    net = std::make_unique<net::Network>(
-        std::vector<Point>(pts.begin(), pts.end()), tb.pool_network().field(),
-        tb.config().radio_range);
-    gpsr = std::make_unique<routing::Gpsr>(*net);
-    if (which == "ght") {
-      extra = std::make_unique<ght::GhtSystem>(*net, *gpsr, kDims);
-    } else {
-      extra = storage::make_central_store(kDims, {}, net.get(), gpsr.get(), 0);
-    }
-    benchsup::replay_oracle(tb.oracle(), *extra);
-  }
-
-  storage::DcsSystem& system(const std::string& which) {
-    if (which == "pool") return tb.pool();
-    if (which == "dim") return tb.dim();
-    return *extra;
-  }
-  net::Network& network(const std::string& which) {
-    if (which == "pool") return tb.pool_network();
-    if (which == "dim") return tb.dim_network();
-    return *net;
-  }
-
   benchsup::Testbed tb;
-  std::unique_ptr<net::Network> net;
-  std::unique_ptr<routing::Gpsr> gpsr;
-  std::unique_ptr<storage::DcsSystem> extra;
 };
 
 const std::vector<std::string> kClasses = {"exact", "partial", "point",
@@ -173,9 +144,9 @@ RangeQuery point_at(const storage::Event& e) {
 
 /// Runs one class on `sys` and hashes receipts plus the ledger delta.
 std::uint64_t run_class(const std::string& cls, Deployment& dep,
-                        const std::string& which) {
-  storage::DcsSystem& sys = dep.system(which);
-  net::Network& net = dep.network(which);
+                        SystemKind which) {
+  storage::DcsSystem& sys = dep.tb.system(which);
+  net::Network& net = dep.tb.network(which);
   const auto& events = dep.tb.oracle().all();
   query::QueryGenerator gen({kDims}, 0xf1 + cls.size());
   Rng rng(0x5eed + cls.size());
@@ -220,7 +191,7 @@ std::uint64_t run_class(const std::string& cls, Deployment& dep,
 /// cancellation traffic.
 std::uint64_t run_subscriptions(Deployment& dep) {
   auto& pool = dep.tb.pool();
-  auto& net = dep.tb.pool_network();
+  auto& net = dep.tb.network(SystemKind::Pool);
   query::QueryGenerator gen({kDims}, 0x5b);
   Rng rng(0x5b5b);
   Fnv h;
@@ -267,43 +238,47 @@ std::map<std::string, std::uint64_t> compute_fingerprints() {
   std::map<std::string, std::uint64_t> out;
   for (const bool sharing : {false, true}) {
     for (const std::uint32_t replicas : {0u, 2u}) {
-      Deployment dep(sharing, replicas);
+      Deployment dep({SystemKind::Pool}, sharing, replicas);
       char prefix[48];
       std::snprintf(prefix, sizeof(prefix), "pool/share%d/rep%u/",
                     sharing ? 1 : 0, replicas);
       {
         Fnv h;
-        LedgerMark(dep.tb.pool_network()).mix_into(h);
-        h.mix(dep.tb.pool_insert_traffic().total);
+        LedgerMark(dep.tb.network(SystemKind::Pool)).mix_into(h);
+        h.mix(dep.tb.insert_traffic(SystemKind::Pool).total);
         out[std::string(prefix) + "insert"] = h.h;
       }
       for (const auto& cls : kClasses)
-        out[prefix + cls] = run_class(cls, dep, "pool");
+        out[prefix + cls] = run_class(cls, dep, SystemKind::Pool);
       out[std::string(prefix) + "subscribe"] = run_subscriptions(dep);
     }
   }
   {
-    Deployment dep;
-    dep.build_extra("ght");
-    for (const auto& cls : kClasses) out["dim/" + cls] = run_class(cls, dep, "dim");
-    for (const auto& cls : kClasses) out["ght/" + cls] = run_class(cls, dep, "ght");
-  }
-  {
-    Deployment dep;
-    dep.build_extra("central");
-    for (const auto& cls : kClasses)
-      out["central/" + cls] = run_class(cls, dep, "central");
+    Deployment dep({SystemKind::Dim, SystemKind::Ght, SystemKind::Central});
+    for (const SystemKind kind : dep.tb.systems()) {
+      for (const auto& cls : kClasses)
+        out[benchsup::to_string(kind) + ("/" + cls)] =
+            run_class(cls, dep, kind);
+    }
   }
   // Fault runs: a fresh deployment per (system, class), so one class's
-  // failover discoveries never leak into another's fingerprint.
+  // failover discoveries never leak into another's fingerprint. GHT and
+  // central route over the bare Gpsr here: after a silent kill a cached
+  // route is replayed up to the dead node before it is dropped, while
+  // GPSR's beacons steer around it from the start, so the cache is part
+  // of what a fault constant pins.
   for (const std::string which : {"pool", "pool-rep2", "dim", "ght", "central"}) {
+    SystemKind kind = SystemKind::Pool;
+    if (!which.starts_with("pool")) {
+      std::string error;
+      EXPECT_TRUE(benchsup::parse_system_kind(which, &kind, &error)) << error;
+    }
     for (const auto& cls : kClasses) {
-      if (which.starts_with("pool") && cls == "knn") continue;
-      Deployment dep(false, which == "pool-rep2" ? 2 : 0);
-      std::string sys = which.starts_with("pool") ? "pool" : which;
-      if (sys == "ght" || sys == "central") dep.build_extra(sys);
-      kill_tenth(dep.network(sys));
-      out["fault/" + which + "/" + cls] = run_class(cls, dep, sys);
+      if (kind == SystemKind::Pool && cls == "knn") continue;
+      const bool cached = kind == SystemKind::Pool || kind == SystemKind::Dim;
+      Deployment dep({kind}, false, which == "pool-rep2" ? 2 : 0, cached);
+      kill_tenth(dep.tb.network(kind));
+      out["fault/" + which + "/" + cls] = run_class(cls, dep, kind);
     }
   }
   return out;
