@@ -237,6 +237,9 @@ class PoolSystem final : public storage::DcsSystem {
   /// Required: `void select(const Visit&, const ColumnStore& cell,
   /// NodeId index_node, std::vector<std::uint32_t>& rows)` appending the
   /// rows the cell answers with (their holders decide the delegate polls).
+  /// select() may take its answer before the replies travel; the drop_*
+  /// hooks then take back what a lost reply carried, so a result holds
+  /// only rows that reached the sink.
   struct VisitOp {
     /// Message kind of the sink → splitter and splitter → cell legs.
     static constexpr net::MessageKind contact_kind() {
@@ -256,6 +259,15 @@ class PoolSystem final : public storage::DcsSystem {
     void on_leg(Leg, const Visit&, std::uint64_t) {}
     /// A delegate poll whose reply arrived, with both legs' hop counts.
     void on_poll(net::NodeId, std::uint64_t, std::uint64_t) {}
+    /// The delegate's reply to the index node was lost: drop the rows of
+    /// this visit it holds.
+    void drop_delegate(const Visit&, const storage::column::ColumnStore&,
+                       net::NodeId) {}
+    /// The visit's reply never reached the sink: drop what select() took.
+    void drop_visit(const Visit&) {}
+    /// The splitter's reply to the sink was lost: drop every visit of the
+    /// pool since the last end_pool().
+    void drop_pool() {}
   };
 
   template <typename Op>
