@@ -185,10 +185,6 @@ void QueryEngine::flush() {
     }
     if (ranged.empty()) continue;
     g.members = std::move(ranged);
-    if (g.members.size() == 1) {
-      execute_serial(g.members.front());
-      continue;
-    }
     std::vector<storage::RangeQuery> queries;
     queries.reserve(g.members.size());
     for (const PendingQuery& p : g.members) queries.push_back(p.query.range());

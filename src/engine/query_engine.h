@@ -58,7 +58,7 @@ bool parse_batch_spec(const std::string& spec, std::size_t* batch_size,
 struct EngineStats {
   std::uint64_t submitted = 0;    ///< queries accepted by submit()
   std::uint64_t cache_hits = 0;   ///< answered from the result cache
-  std::uint64_t batches = 0;      ///< merged rounds (>= 2 queries) executed
+  std::uint64_t batches = 0;      ///< query_batch rounds (one per sink group)
   std::uint64_t serial_executions = 0;  ///< queries issued unbatched
   std::uint64_t skyline_queries = 0;    ///< executed skyline requests
   std::uint64_t knn_queries = 0;        ///< executed k-NN requests
