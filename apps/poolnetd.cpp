@@ -6,7 +6,8 @@
 //
 // Clients speak the length-prefixed frame protocol of
 // docs/wire_protocol.md; SIGTERM/SIGINT drains — every admitted query is
-// answered before the process exits 0.
+// answered before the process exits 0 (a client that takes no bytes for
+// Server::kDrainGrace is dropped, so the drain always ends).
 #include <signal.h>
 
 #include <cstdio>
@@ -82,9 +83,10 @@ int main(int argc, char** argv) {
   config.max_pending_global = static_cast<std::size_t>(*pending);
   config.flush_interval_us = static_cast<std::uint64_t>(*flush_us);
 
-  // SIGTERM/SIGINT stay blocked in every thread (the server's threads
-  // inherit this mask) and stay pending until the sigwait below takes
-  // them, so a stop request that arrives at any moment is never lost.
+  // SIGTERM/SIGINT stay blocked in every thread (the server's loop
+  // thread inherits this mask) and stay pending until the sigwait below
+  // takes them, so a stop request that arrives at any moment is never
+  // lost.
   sigset_t stop_signals;
   sigemptyset(&stop_signals);
   sigaddset(&stop_signals, SIGTERM);

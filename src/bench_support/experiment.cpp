@@ -90,7 +90,7 @@ void TablePrinter::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TablePrinter::print() const {
+void TablePrinter::print(std::ostream& out) const {
   std::vector<std::size_t> widths(headers_.size(), 0);
   for (std::size_t c = 0; c < headers_.size(); ++c)
     widths[c] = headers_[c].size();
@@ -105,12 +105,12 @@ void TablePrinter::print() const {
       line += cell;
       line.append(widths[c] - cell.size() + 2, ' ');
     }
-    std::printf("%s\n", line.c_str());
+    out << line << '\n';
   };
   print_row(headers_);
   std::string rule;
   for (const auto w : widths) rule.append(w + 2, '-');
-  std::printf("%s\n", rule.c_str());
+  out << rule << '\n';
   for (const auto& row : rows_) print_row(row);
 }
 

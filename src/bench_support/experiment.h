@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -52,7 +53,7 @@ class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers);
   void add_row(std::vector<std::string> cells);
-  void print() const;  // to stdout
+  void print(std::ostream& out = std::cout) const;
 
  private:
   std::vector<std::string> headers_;

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <ostream>
-#include <sstream>
 
 #include "bench_support/experiment.h"
 #include "bench_support/parallel.h"
@@ -298,57 +297,31 @@ std::vector<CliResult> run_experiment(const CliConfig& config,
     out << per_dep.front().describes[i];
   }
   out << "\n\n";
-  // TablePrinter prints to stdout; reproduce rows into `out` via a string
-  // table for stream-agnostic output.
-  {
-    std::ostringstream oss;
-    // Render manually so `out` can be any stream (tests capture it).
-    std::vector<std::vector<std::string>> rows;
-    std::vector<std::string> headers{"system", "msgs/query", "query msgs",
-                                     "reply msgs", "results",
-                                     "nodes visited", "insert msgs/event",
-                                     "mismatches"};
-    // Degradation accounting rides along only when failures were injected,
-    // keeping fault-free output byte-identical.
+  std::vector<std::string> headers{"system", "msgs/query", "query msgs",
+                                   "reply msgs", "results", "nodes visited",
+                                   "insert msgs/event", "mismatches"};
+  // Degradation accounting rides along only when failures were injected,
+  // keeping fault-free output byte-identical.
+  if (faults_on)
+    headers.insert(headers.end(),
+                   {"recall", "retries", "failovers", "events lost"});
+  benchsup::TablePrinter table(std::move(headers));
+  for (const auto& r : results) {
+    std::vector<std::string> row{
+        to_string(r.system), benchsup::fmt(r.mean_messages),
+        benchsup::fmt(r.mean_query_messages),
+        benchsup::fmt(r.mean_reply_messages), benchsup::fmt(r.mean_results),
+        benchsup::fmt(r.mean_nodes_visited),
+        benchsup::fmt(r.insert_messages_per_event, 2),
+        std::to_string(r.mismatches)};
     if (faults_on) {
-      headers.insert(headers.end(),
-                     {"recall", "retries", "failovers", "events lost"});
+      row.insert(row.end(),
+                 {benchsup::fmt(r.recall, 3), std::to_string(r.retries),
+                  std::to_string(r.failovers), std::to_string(r.events_lost)});
     }
-    for (const auto& r : results) {
-      rows.push_back({to_string(r.system), benchsup::fmt(r.mean_messages),
-                      benchsup::fmt(r.mean_query_messages),
-                      benchsup::fmt(r.mean_reply_messages),
-                      benchsup::fmt(r.mean_results),
-                      benchsup::fmt(r.mean_nodes_visited),
-                      benchsup::fmt(r.insert_messages_per_event, 2),
-                      std::to_string(r.mismatches)});
-      if (faults_on) {
-        auto& row = rows.back();
-        row.push_back(benchsup::fmt(r.recall, 3));
-        row.push_back(std::to_string(r.retries));
-        row.push_back(std::to_string(r.failovers));
-        row.push_back(std::to_string(r.events_lost));
-      }
-    }
-    std::vector<std::size_t> widths(headers.size());
-    for (std::size_t c = 0; c < headers.size(); ++c) {
-      widths[c] = headers[c].size();
-      for (const auto& row : rows)
-        widths[c] = std::max(widths[c], row[c].size());
-    }
-    const auto emit = [&](const std::vector<std::string>& row) {
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        oss << row[c] << std::string(widths[c] - row[c].size() + 2, ' ');
-      }
-      oss << "\n";
-    };
-    emit(headers);
-    std::size_t total = 0;
-    for (const auto w : widths) total += w + 2;
-    oss << std::string(total, '-') << "\n";
-    for (const auto& row : rows) emit(row);
-    out << oss.str();
+    table.add_row(std::move(row));
   }
+  table.print(out);
 
   if (config.telemetry.wants_metrics())
     obs::emit_snapshot(config.telemetry, snap, out);

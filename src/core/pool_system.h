@@ -132,6 +132,7 @@ class PoolSystem final : public storage::DcsSystem {
   /// (replicas > 0) — charged as Insert traffic from the mirror holder to
   /// the new index node — or counted lost. Idempotent per node.
   void handle_node_failure(net::NodeId dead) override;
+  std::size_t liveness_epoch() const override { return net_.dead_count(); }
 
   // --- continuous queries (Section 6 future work) -----------------------
   //

@@ -77,6 +77,7 @@ class DimSystem final : public storage::DcsSystem {
   /// resident at the dead owner are counted lost (DIM stores no mirrors);
   /// cached representatives of the dead node are forgotten. Idempotent.
   void handle_node_failure(net::NodeId dead) override;
+  std::size_t liveness_epoch() const override { return net_.dead_count(); }
 
   const ZoneTree& tree() const { return tree_; }
 

@@ -95,6 +95,13 @@ QueryEngine::Ticket QueryEngine::submit(net::NodeId sink,
   // Only range rectangles are cacheable: invalidate_containing() knows
   // how a new event perturbs a box answer, but not a skyline or a top-k.
   if (query.cls() == storage::QueryClass::Range) {
+    // A kill can change any answer (a holder's events lost or cut off),
+    // so nothing cached before the latest one may serve.
+    if (const std::size_t epoch = system_.liveness_epoch();
+        epoch != cache_liveness_) {
+      cache_.clear();
+      cache_liveness_ = epoch;
+    }
     if (const auto* cached = cache_.lookup(query.range(), now_)) {
       // Served entirely at the sink: zero network traffic.
       cache_hits_.inc();

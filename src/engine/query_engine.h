@@ -14,7 +14,8 @@
 // A ResultCache keyed on normalized query rectangles short-circuits
 // repeat queries entirely (zero messages); inserts routed through the
 // engine invalidate exactly the cached rectangles that contain the new
-// event, so hits can never be stale.
+// event, and a node kill (DcsSystem::liveness_epoch) drops every entry,
+// so hits can never be stale.
 //
 // Timing semantics: a batched query observes the store AS OF ITS FLUSH,
 // so an insert landing between submit and flush is visible — the same
@@ -171,6 +172,7 @@ class QueryEngine {
   sim::RunningStat dedup_ratio_;      ///< serial / unique visits, per batch
 
   storage::FaultStats fault_seen_;  ///< system counters at the last absorb
+  std::size_t cache_liveness_ = 0;  ///< system liveness epoch of cache_
   std::uint64_t now_ = 0;
   Ticket next_ticket_ = 1;
 };

@@ -97,6 +97,7 @@ class GhtSystem final : public storage::DcsSystem {
   /// forgotten so affected keys re-home at the nearest survivor — the
   /// perimeter-walk convention applied to the survivor set. Idempotent.
   void handle_node_failure(net::NodeId dead) override;
+  std::size_t liveness_epoch() const override { return net_.dead_count(); }
 
   /// Home node for an event's (quantized) value vector.
   net::NodeId home_node(const storage::Values& values) const;

@@ -81,6 +81,9 @@ class Network {
   }
   /// alive() for every node, indexed by id (1 = alive).
   std::span<const std::uint8_t> alive_map() const { return alive_; }
+  /// Nodes killed so far. Only kill() changes it and nothing revives a
+  /// node, so it doubles as the network's liveness epoch
+  /// (DcsSystem::liveness_epoch).
   std::size_t dead_count() const { return dead_count_; }
   bool has_failures() const { return dead_count_ > 0; }
 

@@ -11,6 +11,7 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::ServerBusy: return "server-busy";
     case ErrorCode::ShuttingDown: return "shutting-down";
     case ErrorCode::BadFrame: return "bad-frame";
+    case ErrorCode::ResultTooLarge: return "result-too-large";
   }
   return "?";
 }

@@ -46,6 +46,7 @@ enum class ErrorCode : std::uint16_t {
   ServerBusy = 3,      ///< global epoch backpressure limit hit
   ShuttingDown = 4,    ///< server is draining; no new work admitted
   BadFrame = 5,        ///< malformed frame (short payload, unknown type)
+  ResultTooLarge = 6,  ///< the RESULT frame would exceed kMaxFrameBytes
 };
 
 const char* to_string(ErrorCode code);

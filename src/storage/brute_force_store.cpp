@@ -190,6 +190,10 @@ AggregateReceipt BruteForceStore::aggregate(net::NodeId sink,
   return receipt;
 }
 
+std::size_t BruteForceStore::liveness_epoch() const {
+  return network_ != nullptr ? network_->dead_count() : 0;
+}
+
 std::size_t BruteForceStore::expire_before(double cutoff) {
   const std::size_t removed = store_.expire_before(cutoff);
   if (removed != 0) all_dirty_ = true;

@@ -49,6 +49,7 @@ class BruteForceStore final : public DcsSystem {
   std::size_t stored_count() const override { return store_.size(); }
   std::size_t expire_before(double cutoff) override;
   const column::ScanStats* scan_stats() const override { return &scan_stats_; }
+  std::size_t liveness_epoch() const override;
 
   /// Oracle aggregate (no costs) — the reference for every system's tests.
   AggregateResult aggregate_oracle(const RangeQuery& q, AggregateKind kind,

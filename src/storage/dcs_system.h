@@ -220,6 +220,12 @@ class DcsSystem {
   /// is a system with no fault tolerance.
   virtual void handle_node_failure(net::NodeId dead) { (void)dead; }
 
+  /// Liveness epoch of the network under this system: it grows with every
+  /// node the network loses (net::Network::kill), handled or silent, and
+  /// never shrinks. A result cached under an older epoch may hold events
+  /// a kill has since lost. 0 for a system without a network.
+  virtual std::size_t liveness_epoch() const { return 0; }
+
   const FaultStats& fault_stats() const { return fault_stats_; }
 
   /// Columnar scan-kernel counters aggregated across this system's stores

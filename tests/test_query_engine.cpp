@@ -445,6 +445,46 @@ TEST(QueryEngineCache, AgingEverythingLeavesEmptyButCorrectEntries) {
   EXPECT_EQ(empty.events, tb.pool().query(sink, q).events);
 }
 
+/// Caches 20 overlapping answers, kills 100 of the 150 nodes (with or
+/// without telling the system), then re-asks every query: each answer
+/// must equal a direct query() at that moment.
+void expect_cache_follows_kills(bool handle_failures) {
+  Testbed tb(small_config(3));
+  tb.insert_workload();
+  Rng sink_rng(41);
+  const auto sink = tb.random_node(sink_rng);
+  const std::vector<RangeQuery> queries = overlapping_queries(20, 3);
+
+  QueryEngineConfig cfg;
+  cfg.cache.enabled = true;
+  QueryEngine eng(tb.pool(), cfg);
+  for (const auto& q : queries) eng.take(eng.submit(sink, q));
+  ASSERT_GT(eng.cache_stats().hits, 0u);
+
+  net::Network& net = tb.network(SystemKind::Pool);
+  Rng kill_rng(97);
+  for (std::size_t killed = 0; killed < 100;) {
+    const auto id = tb.random_node(kill_rng);
+    if (id == sink || !net.alive(id)) continue;
+    net.kill(id);
+    if (handle_failures) tb.pool().handle_node_failure(id);
+    ++killed;
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto served = eng.take(eng.submit(sink, queries[i]));
+    EXPECT_EQ(served.events, tb.pool().query(sink, queries[i]).events)
+        << "query " << i;
+  }
+}
+
+TEST(QueryEngineCache, KillsWithFailoverInvalidateCachedAnswers) {
+  expect_cache_follows_kills(/*handle_failures=*/true);
+}
+
+TEST(QueryEngineCache, SilentKillsInvalidateCachedAnswers) {
+  expect_cache_follows_kills(/*handle_failures=*/false);
+}
+
 // ---------------------------------------------------------------------
 // Epoch triggers and spec parsing.
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // End-to-end tests for the poolnetd server core: byte-identical results,
-// admission control, drain-on-shutdown, live metrics and protocol errors
-// — all over real loopback sockets.
+// admission control, drain-on-shutdown, live metrics, protocol errors and
+// slow or stuck peers — all over real loopback sockets.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -9,7 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <filesystem>
+#include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "server/client.h"
@@ -372,6 +377,160 @@ TEST(ServerTest, CorruptStreamGetsBadFrameErrorThenClose) {
 
   server.stop();
   EXPECT_EQ(server.stats().parse_errors, 1u);
+}
+
+/// A central backend whose bare SELECT returns 400 x `events_per_node`
+/// events (45 bytes each at k = 3).
+ServerConfig central_config(std::size_t events_per_node) {
+  ServerConfig config = small_config(SystemKind::Central);
+  config.backend.nodes = 400;
+  config.backend.events_per_node = events_per_node;
+  return config;
+}
+
+TEST(ServerTest, OversizedResultIsATypedErrorNotABrokenFrame) {
+  // 400k events encode to ~18 MB, above the 16 MiB frame limit.
+  Server server(central_config(1000));
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+
+  const std::uint64_t id = client.send_query("SELECT");
+  const Client::Reply reply = client.read_reply();
+  EXPECT_EQ(reply.request_id, id);
+  ASSERT_TRUE(reply.is_error);
+  EXPECT_EQ(reply.code, ErrorCode::ResultTooLarge);
+
+  // The connection survives and serves a tight query.
+  EXPECT_NO_THROW(client.query("SELECT WHERE a0 IN [0.5, 0.501]"));
+  client.close();
+  server.stop();
+}
+
+/// Closes a raw socket when the test leaves scope, before the Server
+/// declared ahead of it stops.
+struct RawSocket {
+  int fd = -1;
+  ~RawSocket() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// A client with a tiny receive buffer that pipelines `count` bare
+/// SELECTs and never reads a reply.
+void connect_stuck_client(std::uint16_t port, int count, RawSocket* out) {
+  out->fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(out->fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(out->fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(out->fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::vector<std::uint8_t> stream;
+  for (int i = 1; i <= count; ++i) {
+    const auto frame = encode_request(FrameType::Query,
+                                      static_cast<std::uint64_t>(i), "SELECT");
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(::send(out->fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+}
+
+/// Makes every read on `client` give up after `timeout` instead of
+/// blocking, so a server that never answers fails the test.
+void bound_reads(Client& client, std::chrono::milliseconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>(timeout.count() % 1000 * 1000);
+  ::setsockopt(client.native_handle(), SOL_SOCKET, SO_RCVTIMEO, &tv,
+               sizeof(tv));
+}
+
+/// Polls live metrics through `observer` until the server has produced
+/// `n` query results. False when the server stops answering or never
+/// gets there.
+bool wait_for_results(Client& observer, std::uint64_t n) {
+  const std::string want =
+      "\"server.queries_out\": " + std::to_string(n) + ",";
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    try {
+      if (observer.subscribe_metrics().find(want) != std::string::npos)
+        return true;
+    } catch (const std::exception&) {
+      return false;  // read timed out: the server is stalled
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return false;
+}
+
+TEST(ServerTest, NeverReadingClientDoesNotStallOthers) {
+  // Each bare SELECT answers with a ~1.8 MB frame; sixteen of them are
+  // far more than the kernel buffers of a peer that never reads.
+  Server server(central_config(100));
+  server.start();
+  RawSocket stuck;
+  connect_stuck_client(server.port(), 16, &stuck);
+
+  Client other;
+  other.connect("127.0.0.1", server.port());
+  bound_reads(other, std::chrono::seconds(5));
+  ASSERT_TRUE(wait_for_results(other, 16));
+
+  bound_reads(other, std::chrono::seconds(1));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_NO_THROW(other.query("SELECT WHERE a0 IN [0.5, 0.501]"));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+TEST(ServerTest, StopReturnsWhileAStuckPeerIsConnected) {
+  Server server(central_config(100));
+  server.start();
+  RawSocket stuck;
+  connect_stuck_client(server.port(), 16, &stuck);
+  {
+    Client observer;
+    observer.connect("127.0.0.1", server.port());
+    bound_reads(observer, std::chrono::seconds(5));
+    ASSERT_TRUE(wait_for_results(observer, 16));
+  }
+
+  auto stopped = std::async(std::launch::async, [&server] { server.stop(); });
+  const bool returned = stopped.wait_for(Server::kDrainGrace * 3) ==
+                        std::future_status::ready;
+  // Closing the peer unblocks a server that would otherwise never return.
+  ::close(stuck.fd);
+  stuck.fd = -1;
+  stopped.get();
+  EXPECT_TRUE(returned) << "stop() blocked on a peer that never reads";
+  EXPECT_EQ(server.stats().disconnects, 2u);
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(ServerTest, ThreadCountDoesNotGrowWithConnections) {
+  Server server(small_config());
+  server.start();
+  const std::size_t threads = thread_count();
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(std::make_unique<Client>());
+    clients.back()->connect("127.0.0.1", server.port());
+    // A served query proves the server has accepted the connection.
+    (void)clients.back()->query("SELECT WHERE a0 IN [0.1, 0.6]");
+  }
+  EXPECT_EQ(thread_count(), threads);
+  clients.clear();
+  server.stop();
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // The poolnetd wire protocol: frame encode/decode under arbitrary
-// fragmentation, the canonical event byte encoding, and the query
-// language grammar.
+// fragmentation, the canonical event byte encoding, the query language
+// grammar, and seeded mutation fuzzing of every decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
+#include "common/rng.h"
 #include "server/query_language.h"
 #include "server/wire.h"
 
@@ -225,6 +229,250 @@ TEST(QueryLanguageTest, ParsesAndRejectsInserts) {
   };
   for (const char* text : bad)
     EXPECT_FALSE(parse_insert(text, 3, &values, &error)) << text;
+}
+
+// --- seeded mutation fuzzing ------------------------------------------------
+//
+// Frames and statements arrive from untrusted peers. Each case below takes
+// valid inputs, applies seeded byte flips, truncations, length-field
+// edits and splices, and requires every decoder to accept or reject the
+// result cleanly; the ASan/UBSan CI jobs run the same cases and catch any
+// out-of-bounds read.
+
+using Bytes = std::vector<std::uint8_t>;
+
+constexpr int kFuzzCases = 3000;
+
+/// Uniform index in [0, n); n > 0.
+std::size_t pick(Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// One to three random mutations of `in`, splicing from `donor`.
+Bytes mutate(Rng& rng, Bytes in, const Bytes& donor) {
+  for (auto rounds = rng.uniform_int(1, 3); rounds > 0; --rounds) {
+    switch (rng.uniform_int(0, 3)) {
+      case 0:  // flip a byte
+        if (!in.empty())
+          in[pick(rng, in.size())] ^=
+              static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+        break;
+      case 1:  // truncate
+        in.resize(pick(rng, in.size() + 1));
+        break;
+      case 2: {  // overwrite a u32 — at 0 it is the first frame's length
+        if (in.size() < 4) break;
+        static constexpr std::uint32_t kEdges[] = {
+            0, 1, 8, 9, 0xff, kMaxFrameBytes, kMaxFrameBytes + 1, ~0u};
+        std::uint32_t v = kEdges[pick(rng, std::size(kEdges))];
+        if (rng.uniform() < 0.3)
+          v = static_cast<std::uint32_t>(in.size()) - 2 +
+              static_cast<std::uint32_t>(rng.uniform_int(0, 4));
+        const std::size_t at =
+            rng.uniform() < 0.5 ? 0 : pick(rng, in.size() - 3);
+        for (std::size_t b = 0; b < 4; ++b)
+          in[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+        break;
+      }
+      default: {  // splice a slice of the donor in
+        if (donor.empty()) break;
+        const std::size_t from = pick(rng, donor.size());
+        const std::size_t len =
+            1 + pick(rng, std::min<std::size_t>(donor.size() - from, 32));
+        const auto at = static_cast<std::ptrdiff_t>(pick(rng, in.size() + 1));
+        in.insert(in.begin() + at, donor.begin() + static_cast<long>(from),
+                  donor.begin() + static_cast<long>(from + len));
+      }
+    }
+  }
+  return in;
+}
+
+Bytes as_bytes(const std::string& text) {
+  return Bytes(text.begin(), text.end());
+}
+
+/// Whitespace-separated tokens of `text`, with tokens of the grammar
+/// (and near misses) spliced in, replaced or deleted.
+std::string splice_tokens(Rng& rng, const std::string& text) {
+  static const char* kVocab[] = {
+      "SELECT", "INSERT", "VALUES", "WHERE", "AND", "IN", "SKYLINE", "ON",
+      "NEAREST", "TO", "WITHIN", "[", "]", "(", ")", ",", "a0", "a2", "a7",
+      "a99999999999999999999", "0", "1", "0.5", "-0", "1e-320", "1e308",
+      "nan", "inf", "0x1p-2", "18446744073709551617", "", "[[", "))"};
+  std::vector<std::string> tokens;
+  std::string token;
+  for (const char c : text + " ") {
+    if (c != ' ') {
+      token += c;
+    } else if (!token.empty()) {
+      tokens.push_back(token);
+      token.clear();
+    }
+  }
+  for (auto rounds = rng.uniform_int(1, 3); rounds > 0; --rounds) {
+    const std::string word = kVocab[pick(rng, std::size(kVocab))];
+    const std::size_t at = pick(rng, tokens.size() + 1);
+    const auto it = tokens.begin() + static_cast<std::ptrdiff_t>(at);
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        tokens.insert(it, word);
+        break;
+      case 1:
+        if (it != tokens.end()) *it = word;
+        break;
+      default:
+        if (it != tokens.end()) tokens.erase(it);
+    }
+  }
+  std::string out;
+  for (const std::string& t : tokens) out += (out.empty() ? "" : " ") + t;
+  return out;
+}
+
+/// A mutated statement: byte-level or token-level, from `corpus`.
+std::string mutate_statement(Rng& rng, const std::vector<std::string>& corpus) {
+  const std::string& base = corpus[pick(rng, corpus.size())];
+  if (rng.uniform() < 0.5) return splice_tokens(rng, base);
+  const Bytes bytes = mutate(rng, as_bytes(base),
+                             as_bytes(corpus[pick(rng, corpus.size())]));
+  return std::string(bytes.begin(), bytes.end());
+}
+
+std::vector<Frame> decode_all(const Bytes& stream, Rng* chunk_rng,
+                              bool* corrupt) {
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  Frame frame;
+  for (std::size_t pos = 0; pos < stream.size();) {
+    const std::size_t n =
+        chunk_rng ? 1 + pick(*chunk_rng, stream.size() - pos)
+                  : stream.size() - pos;
+    decoder.feed(stream.data() + pos, n);
+    pos += n;
+    while (decoder.next(&frame)) frames.push_back(frame);
+  }
+  *corrupt = decoder.corrupt();
+  return frames;
+}
+
+TEST(WireFuzz, FrameDecoderAcceptsOrRejectsCleanly) {
+  std::vector<Bytes> corpus = {
+      encode_request(FrameType::Query, 1, "SELECT WHERE a0 IN [0.1, 0.9]"),
+      encode_request(FrameType::Insert, 2, "INSERT VALUES (0.1, 0.2, 0.3)"),
+      encode_request(FrameType::SubscribeMetrics, 3, ""),
+      encode_result(4, ResultKind::Query,
+                    encode_events({make_event(1, {0.25, 0.5, 0.75})})),
+      encode_error(5, ErrorCode::ParseError, "bad statement"),
+  };
+  Bytes all;
+  for (const Bytes& f : corpus) all.insert(all.end(), f.begin(), f.end());
+  corpus.push_back(all);
+
+  Rng rng(0xF4A3E);
+  for (int i = 0; i < kFuzzCases; ++i) {
+    const Bytes stream = mutate(rng, corpus[pick(rng, corpus.size())],
+                                corpus[pick(rng, corpus.size())]);
+    bool corrupt = false, chunked_corrupt = false;
+    const std::vector<Frame> frames = decode_all(stream, nullptr, &corrupt);
+    const std::vector<Frame> chunked =
+        decode_all(stream, &rng, &chunked_corrupt);
+
+    // Fragmentation never changes the outcome...
+    ASSERT_EQ(chunked.size(), frames.size()) << "case " << i;
+    EXPECT_EQ(chunked_corrupt, corrupt) << "case " << i;
+    // ...and the frames handed out, laid back to back, are exactly a
+    // prefix of the stream.
+    Bytes again;
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      EXPECT_EQ(chunked[f].type, frames[f].type);
+      EXPECT_EQ(chunked[f].payload, frames[f].payload);
+      EXPECT_LT(frames[f].payload.size(), kMaxFrameBytes);
+      append_frame(again, frames[f].type, frames[f].payload);
+    }
+    ASSERT_LE(again.size(), stream.size()) << "case " << i;
+    EXPECT_TRUE(std::equal(again.begin(), again.end(), stream.begin()))
+        << "case " << i;
+  }
+}
+
+TEST(WireFuzz, ParseQueryAcceptsOrRejectsCleanly) {
+  const std::vector<std::string> corpus = {
+      "SELECT",
+      "SELECT WHERE a0 IN [0.1, 0.9]",
+      "SELECT WHERE a0 IN [0.1, 0.5] AND a2 IN [0.4, 0.9]",
+      "SELECT SKYLINE",
+      "SELECT SKYLINE ON a0, a2",
+      "SELECT NEAREST 5 TO (0.1, 0.2, 0.3)",
+      "SELECT NEAREST 2 TO (0.5, 0.5, 0.5) WITHIN 0.25",
+  };
+  Rng rng(0xC0FFEE);
+  std::size_t accepted = 0;
+  for (int i = 0; i < kFuzzCases; ++i) {
+    const std::string text = mutate_statement(rng, corpus);
+    storage::RangeQuery::Bounds one;
+    one.push_back(ClosedInterval{0.0, 1.0});
+    storage::QueryRequest query{storage::RangeQuery{one}};
+    std::string error;
+    if (!parse_query(text, 3, &query, &error)) {
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    // Accepted input has a canonical text that parses to itself.
+    ++accepted;
+    const std::string canonical = to_query_text(query);
+    storage::QueryRequest again{storage::RangeQuery{one}};
+    ASSERT_TRUE(parse_query(canonical, 3, &again, &error))
+        << text << " -> " << canonical << ": " << error;
+    EXPECT_EQ(to_query_text(again), canonical) << text;
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(WireFuzz, ParseInsertAcceptsOrRejectsCleanly) {
+  const std::vector<std::string> corpus = {
+      "INSERT VALUES (0.1, 0.2, 0.3)",
+      "INSERT VALUES (0, 1, 0.5)",
+      "insert values (0.999, 0.001, 0.25)",
+  };
+  Rng rng(0x1A5E47);
+  std::size_t accepted = 0;
+  for (int i = 0; i < kFuzzCases; ++i) {
+    const std::string text = mutate_statement(rng, corpus);
+    storage::Values values;
+    std::string error;
+    if (!parse_insert(text, 3, &values, &error)) {
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(values.size(), 3u) << text;
+    for (std::size_t d = 0; d < values.size(); ++d) {
+      EXPECT_GE(values[d], 0.0) << text;
+      EXPECT_LE(values[d], 1.0) << text;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(WireFuzz, DecodeEventsAcceptsOrRejectsCleanly) {
+  const std::vector<Bytes> corpus = {
+      encode_events({}),
+      encode_events({make_event(1, {0.25, 0.5, 0.75})}),
+      encode_events({make_event(2, {0.1}), make_event(3, {0.2, 0.3}),
+                     make_event(4, {0, 1, 0.5, 0.5, 0.25, 0.125, 0.1, 0.9})}),
+  };
+  Rng rng(0xDEC0DE);
+  for (int i = 0; i < kFuzzCases; ++i) {
+    const Bytes body = mutate(rng, corpus[pick(rng, corpus.size())],
+                              corpus[pick(rng, corpus.size())]);
+    std::vector<storage::Event> events;
+    // The encoding is canonical: whatever decodes re-encodes to itself.
+    if (decode_events(body, &events)) {
+      EXPECT_EQ(encode_events(events), body) << "case " << i;
+    }
+  }
 }
 
 }  // namespace
